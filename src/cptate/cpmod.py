@@ -19,9 +19,7 @@ from .intlinalg import (
     FgAbGroup,
     IntMatrix,
     cokernel,
-    free_abelian,
     induced_subquotient,
-    lattice_basis,
     snf,
     _solve,
 )
@@ -145,8 +143,6 @@ def norm_operator(module: CpModule) -> IntMatrix:
 
 @dataclass(frozen=True)
 class TateCohomology:
-    h0: FgAbGroup
-    h1: FgAbGroup
     dim_h0: int
     dim_h1: int
 
@@ -169,11 +165,8 @@ def tate(module: CpModule) -> TateCohomology:
                 f"{name} = {h} is not an elementary abelian {module.p}-group; "
                 "module validation was bypassed or broken"
             )
-    return TateCohomology(
-        h0=h0, h1=h1,
-        dim_h0=len(h0.invariant_factors),
-        dim_h1=len(h1.invariant_factors),
-    )
+    return TateCohomology(dim_h0=len(h0.invariant_factors),
+                          dim_h1=len(h1.invariant_factors))
 
 
 def herbrand_check(module: CpModule) -> bool:

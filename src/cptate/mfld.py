@@ -12,7 +12,7 @@ construction, not computed from topology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .cpmod import (
     CpModule,
@@ -38,13 +38,24 @@ class ManifoldExample:
     quotient_free_rank: int      # rank of H_1(quotient) mod torsion
     quotient_tor_p_trivial: bool  # quotient torsion has no p-part
     splits: bool                 # h1 = tor + free as C_p-modules
+    # derived once from h1 in __post_init__, which replace() reruns
+    dim_h0_h1: int = field(init=False, compare=False, repr=False)    # H^0(C_p, H_1)
+    dim_h0_tor: int = field(init=False, compare=False, repr=False)   # H^0(C_p, H_tor)
+    dim_h1_free: int = field(init=False, compare=False, repr=False)  # H^1(C_p, H_free)
+    tor_fixed: tuple = field(init=False, compare=False, repr=False)  # H_tor^(C_p), finite
+    free_rank: int = field(init=False, compare=False, repr=False)    # rank of H_free
 
     def __post_init__(self):
         if self.s < 0:
             raise ValueError("branch count must be >= 0")
         # both derived submodules must exist; raises if h1 is broken
-        tor_module(self.h1)
-        free_module(self.h1)
+        tor = tor_module(self.h1)
+        free = free_module(self.h1)
+        object.__setattr__(self, "dim_h0_h1", tate(self.h1).dim_h0)
+        object.__setattr__(self, "dim_h0_tor", tate(tor).dim_h0)
+        object.__setattr__(self, "dim_h1_free", tate(free).dim_h1)
+        object.__setattr__(self, "tor_fixed", fixed_points(tor).invariant_factors)
+        object.__setattr__(self, "free_rank", free.group.free_rank)
 
 
 @dataclass(frozen=True)
@@ -100,54 +111,48 @@ def example_hempel(p: int, n: int) -> ManifoldExample:
                            splits=False)
 
 
-EXAMPLES = {"lens": example_lens, "hempel": example_hempel}
-
-
 # -- theorem checkers --------------------------------------------------------
 
 
 def check_upperT(e: ManifoldExample) -> TheoremVerdict:
-    """s <= 1 + dim H^0(C_p, H_1) + dim H^1(C_p, H_free). No hypotheses."""
-    rhs = 1 + tate(e.h1).dim_h0 + tate(free_module(e.h1)).dim_h1
+    """s <= 1 + dim H^0(C_p, H_1) + dim H^1(C_p, H_free). No hypotheses.
+    Reads dim_h0_h1 and dim_h1_free."""
+    rhs = 1 + e.dim_h0_h1 + e.dim_h1_free
     return _verdict("upperT", e.s, rhs, True, e.s <= rhs)
 
 
 def check_upper1(e: ManifoldExample) -> TheoremVerdict:
     """s <= 1 + dim H^0(C_p, H_tor) + dim H^1(C_p, H_free), valid when the
-    quotient has no free homology."""
-    rhs = 1 + tate(tor_module(e.h1)).dim_h0 + tate(free_module(e.h1)).dim_h1
+    quotient has no free homology. Reads dim_h0_tor and dim_h1_free."""
+    rhs = 1 + e.dim_h0_tor + e.dim_h1_free
     met = e.quotient_free_rank == 0
     return _verdict("upper1", e.s, rhs, met, e.s <= rhs)
 
 
 def check_lower1(e: ManifoldExample) -> TheoremVerdict:
-    """s >= 1 + dim H^0(C_p, H_tor), valid when s > 0 and H_1 splits."""
-    rhs = 1 + tate(tor_module(e.h1)).dim_h0
+    """s >= 1 + dim H^0(C_p, H_tor), valid when s > 0 and H_1 splits.
+    Reads dim_h0_tor."""
+    rhs = 1 + e.dim_h0_tor
     met = e.s > 0 and e.splits
     return _verdict("lower1", e.s, rhs, met, e.s >= rhs)
 
 
 def check_reznikov(e: ManifoldExample) -> TheoremVerdict:
     """Fixed classes of the torsion are exactly (Z/p)^(s-1), valid for
-    rational homology spheres with p-torsion-free quotient and s > 0."""
-    fixed = fixed_points(tor_module(e.h1))
-    met = (free_module(e.h1).group.free_rank == 0
-           and e.quotient_tor_p_trivial and e.s != 0)
-    if e.s >= 1:
-        bare = (fixed.free_rank == 0
-                and fixed.invariant_factors == (e.p,) * (e.s - 1))
-    else:
-        bare = False
-    return _verdict("reznikov", fixed.p_rank(e.p), e.s - 1, met, bare)
+    rational homology spheres with p-torsion-free quotient and s > 0.
+    Reads tor_fixed and free_rank."""
+    met = e.free_rank == 0 and e.quotient_tor_p_trivial and e.s != 0
+    bare = e.s >= 1 and e.tor_fixed == (e.p,) * (e.s - 1)
+    rank = sum(1 for f in e.tor_fixed if f % e.p == 0)
+    return _verdict("reznikov", rank, e.s - 1, met, bare)
 
 
 def check_cor_lower_mfld(e: ManifoldExample) -> TheoremVerdict:
     """p-torsion of the fixed classes is elementary abelian, of rank at
     most s - 1 when H_1 splits and s > 0; valid when the quotient torsion
-    has no p-part."""
-    fixed = fixed_points(tor_module(e.h1))
-    elementary = fixed.p_part_elementary(e.p)
-    rank = fixed.p_rank(e.p)
+    has no p-part. Reads tor_fixed."""
+    elementary = all(f % (e.p * e.p) for f in e.tor_fixed)
+    rank = sum(1 for f in e.tor_fixed if f % e.p == 0)
     met = e.quotient_tor_p_trivial
     if e.splits and e.s > 0:
         bare = elementary and rank <= e.s - 1

@@ -128,10 +128,6 @@ class QuadraticField:
     d: int
     discriminant: int
 
-    @property
-    def real(self):
-        return self.d > 0
-
 
 def quadratic_field(d: int) -> QuadraticField:
     if d in (0, 1):
@@ -358,6 +354,21 @@ class ClassData:
     narrow_invariants: tuple | None   # d > 0 only
     narrow_class_number: int | None
     negative_pell_class_trivial: bool | None  # d > 0: is the (-1,*,*) class principal
+    dim_h0_cl: int             # dim H^0(C_2, Cl)
+    dim_h1_cl: int             # dim H^1(C_2, Cl)
+    fixed_free_rank: int       # Cl^(C_2), the fixed classes
+    fixed_invariants: tuple
+    unit_h1_dim: int           # dim H^1(C_2, units/torsion)
+
+
+def _class_record(d, D, inv, h, narrow_inv, narrow_h, neg_trivial) -> ClassData:
+    """The field's record, from one class-group module and its cohomology."""
+    cl = _class_module(inv)
+    co = tate(cl)
+    fixed = fixed_points(cl)
+    return ClassData(d, D, inv, h, narrow_inv, narrow_h, neg_trivial,
+                     co.dim_h0, co.dim_h1, fixed.free_rank, fixed.invariant_factors,
+                     tate(unit_module(d)).dim_h1)
 
 
 @lru_cache(maxsize=1024)
@@ -372,7 +383,7 @@ def _class_data(d: int) -> ClassData:
             return _definite_reduce(_compose_raw(x, y, D), D)
 
         inv = abelian_invariants(forms, op, ident)
-        return ClassData(d, D, inv, len(forms), None, None, None)
+        return _class_record(d, D, inv, len(forms), None, None, None)
 
     sq = isqrt(D)
     forms = _reduced_forms_positive(D)
@@ -414,24 +425,25 @@ def _class_data(d: int) -> ClassData:
         wide_elems = sorted({canon(x) for x in reps})
         wide_ident = canon(ident)
     inv = abelian_invariants(wide_elems, wide_op, wide_ident)
-    return ClassData(d, D, inv, len(wide_elems),
-                     narrow_inv, len(reps), neg == ident)
+    return _class_record(d, D, inv, len(wide_elems),
+                         narrow_inv, len(reps), neg == ident)
 
 
 def class_number(d: int) -> int:
     return _class_data(d).class_number
 
 
-def class_group(d: int) -> CpModule:
-    """The ideal class group as a C_2-module, Galois acting by inversion.
-
-    On invariant-factor generators inversion is minus the identity, so
-    the module is presented diagonally.
-    """
-    inv = _class_data(d).invariants
+def _class_module(inv: tuple) -> CpModule:
+    # on invariant-factor generators inversion is minus the identity, so
+    # the module is presented diagonally
     k = len(inv)
     rel = IntMatrix.diagonal(list(inv), rows=k, cols=k)
     return new_cp_module(2, rel, -IntMatrix.identity(k))
+
+
+def class_group(d: int) -> CpModule:
+    """The ideal class group as a C_2-module, Galois acting by inversion."""
+    return _class_module(_class_data(d).invariants)
 
 
 def narrow_class_invariants(d: int) -> tuple:
@@ -533,22 +545,25 @@ class CheckResult:
 
 
 def check_upper_nf(d: int) -> CheckResult:
-    """s0 <= 1 + dim H^0(C_2, Cl) + dim H^1(C_2, units/torsion)."""
+    """s0 <= 1 + dim H^0(C_2, Cl) + dim H^1(C_2, units/torsion); reads
+    the record's dim_h0_cl and unit_h1_dim."""
     ram = ramification(d)
-    rhs = 1 + tate(class_group(d)).dim_h0 + tate(unit_module(d)).dim_h1
+    data = _class_data(d)
+    rhs = 1 + data.dim_h0_cl + data.unit_h1_dim
     return CheckResult(lhs=ram.s0, rhs=rhs, passed=ram.s0 <= rhs)
 
 
 def check_lower_nf(d: int) -> CheckResult:
-    """s >= 1 + dim H^0(C_2, Cl), counting the archimedean place in s."""
+    """s >= 1 + dim H^0(C_2, Cl), counting the archimedean place in s;
+    reads the record's dim_h0_cl."""
     ram = ramification(d)
-    rhs = 1 + tate(class_group(d)).dim_h0
+    rhs = 1 + _class_data(d).dim_h0_cl
     return CheckResult(lhs=ram.s, rhs=rhs, passed=ram.s >= rhs)
 
 
 def gauss_identity(d: int) -> CheckResult:
     """s - dim Cl^(C_2) against the unit-norm prediction (1 for norm -1,
-    2 for norm +1).
+    2 for norm +1); reads the record's dim_h0_cl.
 
     Caution: the prediction has genuine counterexamples (d = 34 is the
     smallest), where -1 is a rational norm from the field but not the
@@ -557,17 +572,19 @@ def gauss_identity(d: int) -> CheckResult:
     if d < 2:
         raise NotReal(f"gauss identity needs d > 1, got {d}")
     ram = ramification(d)
-    value = ram.s - tate(class_group(d)).dim_h0
+    value = ram.s - _class_data(d).dim_h0_cl
     expected = 1 if fundamental_unit(d).norm == -1 else 2
     return CheckResult(lhs=value, rhs=expected, passed=value == expected)
 
 
 def check_cor_lower_nf(d: int) -> CheckResult:
-    """Fixed classes form an elementary abelian 2-group of rank <= s - 1."""
+    """Fixed classes form an elementary abelian 2-group of rank <= s - 1;
+    reads the record's fixed_free_rank and fixed_invariants."""
     ram = ramification(d)
-    fixed = fixed_points(class_group(d))
-    elementary = fixed.is_finite and fixed.p_part_elementary(2)
-    rank = fixed.p_rank(2)
+    data = _class_data(d)
+    fixed = data.fixed_invariants
+    elementary = data.fixed_free_rank == 0 and all(f % 4 for f in fixed)
+    rank = sum(1 for f in fixed if f % 2 == 0)
     return CheckResult(lhs=rank, rhs=ram.s - 1,
                        passed=elementary and rank <= ram.s - 1)
 
@@ -725,26 +742,13 @@ def read_cubic_csv(path) -> list:
 class QuadraticFieldReport:
     field: QuadraticField
     ramification: RamificationData
-    class_group: CpModule
-    class_number: int
-    narrow_invariants: tuple | None
-    dim_h0_cl: int
-    dim_h1_cl: int
-    dim_cl2: int
+    class_data: ClassData
     unit: FundamentalUnit | None
-    unit_h1_dim: int
     checks: dict
 
 
 def field_report(d: int) -> QuadraticFieldReport:
     """Everything the sweep records about one field."""
-    field = quadratic_field(d)
-    ram = ramification(d)
-    data = _class_data(d)
-    cl = class_group(d)
-    co = tate(cl)
-    unit = fundamental_unit(d) if d > 1 else None
-    unit_h1 = tate(unit_module(d)).dim_h1
     checks = {
         "upper_nf": check_upper_nf(d),
         "lower_nf": check_lower_nf(d),
@@ -752,16 +756,10 @@ def field_report(d: int) -> QuadraticFieldReport:
         "cor_lower": check_cor_lower_nf(d),
     }
     return QuadraticFieldReport(
-        field=field,
-        ramification=ram,
-        class_group=cl,
-        class_number=data.class_number,
-        narrow_invariants=data.narrow_invariants,
-        dim_h0_cl=co.dim_h0,
-        dim_h1_cl=co.dim_h1,
-        dim_cl2=sum(1 for f in data.invariants if f % 2 == 0),
-        unit=unit,
-        unit_h1_dim=unit_h1,
+        field=quadratic_field(d),
+        ramification=ramification(d),
+        class_data=_class_data(d),
+        unit=fundamental_unit(d) if d > 1 else None,
         checks=checks,
     )
 
@@ -773,7 +771,7 @@ def report_to_dict(report: QuadraticFieldReport) -> dict:
             return None
         return {"lhs": c.lhs, "rhs": c.rhs, "pass": c.passed}
 
-    data = _class_data(report.field.d)
+    data = report.class_data
     return {
         "d": report.field.d,
         "discriminant": report.field.discriminant,
@@ -781,11 +779,11 @@ def report_to_dict(report: QuadraticFieldReport) -> dict:
         "s_inf": report.ramification.s_inf,
         "s": report.ramification.s,
         "class_invariants": list(data.invariants),
-        "class_number": report.class_number,
-        "narrow_invariants": list(report.narrow_invariants) if report.narrow_invariants is not None else None,
-        "dim_h0_cl": report.dim_h0_cl,
-        "dim_h1_cl": report.dim_h1_cl,
+        "class_number": data.class_number,
+        "narrow_invariants": list(data.narrow_invariants) if data.narrow_invariants is not None else None,
+        "dim_h0_cl": data.dim_h0_cl,
+        "dim_h1_cl": data.dim_h1_cl,
         "unit_norm": report.unit.norm if report.unit else None,
-        "unit_h1_dim": report.unit_h1_dim,
+        "unit_h1_dim": data.unit_h1_dim,
         "checks": {k: check_dict(v) for k, v in report.checks.items()},
     }

@@ -1,0 +1,57 @@
+"""Each field and each manifold example derives its cohomology once; the
+checks only read the stored record."""
+
+from collections import Counter
+from dataclasses import fields, replace
+
+import pytest
+
+from cptate import mfld, numfield
+
+CASES = [(mfld.example_lens, (5,)), (mfld.example_hempel, (3, 4))]
+CASE_IDS = ["lens(5)", "hempel(3,4)"]
+
+
+def _count_calls(monkeypatch, module, names):
+    """Replace each named function of module by a wrapper that counts its
+    calls; returns the live counter."""
+    counts = Counter()
+    for name in names:
+        def counted(*args, _orig=getattr(module, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("d", [10, -21])
+def test_field_report_computes_cohomology_once(monkeypatch, d):
+    numfield._class_data.cache_clear()
+    counts = _count_calls(monkeypatch, numfield, ("tate", "fixed_points"))
+    numfield.field_report(d)
+    # one tate each for the class group and the unit module
+    assert counts == {"tate": 2, "fixed_points": 1}
+    numfield.field_report(d)
+    assert counts == {"tate": 2, "fixed_points": 1}
+
+
+@pytest.mark.parametrize("make, args", CASES, ids=CASE_IDS)
+def test_example_checks_compute_cohomology_once(monkeypatch, make, args):
+    counts = _count_calls(monkeypatch, mfld,
+                          ("tate", "fixed_points", "tor_module", "free_module"))
+    mfld.run_all_checks(make(*args))
+    # tate once each on h1, its torsion part and its free part
+    assert counts == {"tor_module": 1, "free_module": 1, "tate": 3, "fixed_points": 1}
+
+
+@pytest.mark.parametrize("make, args", CASES, ids=CASE_IDS)
+def test_derived_fields_stay_out_of_equality_and_repr(make, args):
+    e = make(*args)
+    again = replace(e, h1=e.h1)
+    assert again == e and hash(again) == hash(e)
+    assert mfld.run_all_checks(again) == mfld.run_all_checks(e)
+    derived = [f.name for f in fields(e) if not f.init]
+    assert derived
+    for name in derived:
+        object.__setattr__(again, name, None)
+    assert again == e and hash(again) == hash(e) and repr(again) == repr(e)
