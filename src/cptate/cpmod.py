@@ -21,6 +21,7 @@ from .intlinalg import (
     cokernel,
     induced_subquotient,
     snf,
+    _cokernel_of,
     _solve,
 )
 
@@ -110,8 +111,8 @@ def new_cp_module(p: int, relations: IntMatrix, tau: IntMatrix) -> CpModule:
     m = relations.rows
     if tau.rows != m or tau.cols != m:
         raise CpModuleError(f"tau must be {m}x{m}, got {tau.rows}x{tau.cols}")
-    group = cokernel(relations)
     rel_dec = snf(relations)
+    group = _cokernel_of(rel_dec)
     if not _in_lattice_all(tau @ relations, rel_dec):
         raise TauDoesNotDescend(
             "tau does not map the relation lattice into itself"

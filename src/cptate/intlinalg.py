@@ -528,10 +528,14 @@ class FgAbGroup:
 
 def cokernel(relations: IntMatrix) -> FgAbGroup:
     """The group Z^m / (lattice spanned by the columns of relations)."""
-    dec = snf(relations)
-    inv = tuple(d for d in dec.diagonal if d > 1)
+    return _cokernel_of(snf(relations))
+
+
+def _cokernel_of(dec: SmithDecomposition) -> FgAbGroup:
+    """The cokernel of dec.source, read off its Smith form."""
+    relations = dec.source
     return FgAbGroup(
-        invariant_factors=inv,
+        invariant_factors=tuple(d for d in dec.diagonal if d > 1),
         free_rank=relations.rows - dec.rank,
         ambient_rank=relations.rows,
         relations=relations,

@@ -2,11 +2,12 @@
 
 Class groups are computed through binary quadratic forms of the field
 discriminant: reduced positive-definite forms under Gauss composition for
-d < 0, and cycles of reduced indefinite forms for d > 0 (narrow classes,
-then the quotient by the sign-obstruction class to reach the ordinary
-class group). Fundamental units come from the continued fraction of
-sqrt(d) through the Pell equation u^2 - d v^2 = +-4. Everything is exact;
-no floating point is used anywhere.
+d < 0, and cycles of reduced indefinite forms (narrow classes) for d > 0.
+The structure comes from one relation lattice on those classes through
+`cokernel`; the wide class group is the narrow group modulo the class of
+(-1, b0, *), one more relation column. Fundamental units come from the
+continued fraction of sqrt(d) through the Pell equation u^2 - d v^2 = +-4.
+Everything is exact; no floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from functools import lru_cache
 from math import isqrt
 
 from .cpmod import CpModule, new_cp_module, tate, fixed_points, is_prime
-from .intlinalg import IntMatrix, from_invariants
+from .intlinalg import IntMatrix, cokernel, from_invariants
 
 
 class NotSquareFree(ValueError):
@@ -286,60 +287,31 @@ def _reduced_forms_positive(D: int) -> list:
 # -- generic structure of a finite abelian group given by a black box -------
 
 
-def _pow_op(x, n, op, identity):
-    acc = identity
-    base = x
-    while n:
-        if n & 1:
-            acc = op(acc, base)
-        base = op(base, base)
-        n >>= 1
-    return acc
+def _relation_lattice(elements, op, identity):
+    """Coordinates of every element on greedily chosen generators, and the
+    generators' relations as matrix columns; the group is their cokernel.
 
-
-def _ilog(n, q):
-    k = 0
-    while n > 1:
-        if n % q:
-            raise ArithmeticError(f"{n} is not a power of {q}")
-        n //= q
-        k += 1
-    return k
-
-
-def abelian_invariants(elements, op, identity) -> tuple:
-    """Invariant factors of a finite abelian group from its element set.
-
-    For each prime q | order, counting solutions of x^(q^j) = 1 gives the
-    conjugate partition of the q-exponents; the per-prime elementary
-    divisors then zip into the invariant-factor chain.
+    The next generator g is the first element outside the span so far. Its
+    first power g^n inside the span gives the relation n e_g - coords(g^n),
+    and the span grows by the cosets g^i span for 0 < i < n, so each element
+    is composed about once.
     """
-    elements = list(elements)
-    h = len(elements)
-    if h == 1:
-        return ()
-    per_prime = []
-    for q, e in factorize(h).items():
-        layers = []
-        prev = 1
-        for j in range(1, e + 1):
-            cnt = sum(1 for x in elements
-                      if _pow_op(x, q ** j, op, identity) == identity)
-            layers.append(_ilog(cnt // prev, q))
-            prev = cnt
-            if layers[-1] == 0:
-                break
-        exps = [sum(1 for k in layers if k > i) for i in range(layers[0])]
-        per_prime.append([q ** x for x in exps])  # descending
-    width = max(len(lst) for lst in per_prime)
-    desc = []
-    for i in range(width):
-        f = 1
-        for lst in per_prime:
-            if i < len(lst):
-                f *= lst[i]
-        desc.append(f)
-    return tuple(reversed(desc))
+    coords = {identity: ()}
+    relations = []
+    for g in elements:
+        if g in coords:
+            continue
+        span = list(coords.items())
+        coords = {x: c + (0,) for x, c in span}
+        power, n = g, 1
+        while power not in coords:
+            for x, c in span:
+                coords[op(power, x)] = c + (n,)
+            power, n = op(power, g), n + 1
+        relations.append(tuple(-x for x in coords[power][:-1]) + (n,))
+    k = len(relations)
+    rel = IntMatrix.from_columns([r + (0,) * (k - len(r)) for r in relations], k)
+    return coords, rel
 
 
 # -- class groups -----------------------------------------------------------
@@ -373,6 +345,11 @@ def _class_record(d, D, inv, h, narrow_inv, narrow_h, neg_trivial) -> ClassData:
 
 @lru_cache(maxsize=1024)
 def _class_data(d: int) -> ClassData:
+    """The field's record. The class group (d < 0) or the narrow class
+    group (d > 0) is the cokernel of one relation lattice on the reduced
+    forms; the wide group is the narrow group modulo the class of
+    (-1, b0, *), that is the cokernel of the same lattice plus that
+    class's coordinates as one more column."""
     field = quadratic_field(d)
     D = field.discriminant
     if d < 0:
@@ -382,8 +359,8 @@ def _class_data(d: int) -> ClassData:
         def op(x, y):
             return _definite_reduce(_compose_raw(x, y, D), D)
 
-        inv = abelian_invariants(forms, op, ident)
-        return _class_record(d, D, inv, len(forms), None, None, None)
+        cl = cokernel(_relation_lattice(forms, op, ident)[1])
+        return _class_record(d, D, cl.invariant_factors, cl.order, None, None, None)
 
     sq = isqrt(D)
     forms = _reduced_forms_positive(D)
@@ -409,24 +386,13 @@ def _class_data(d: int) -> ClassData:
         return cls_of(_compose_raw(x, y, D))
 
     ident = cls_of(_principal_form(D))
-    narrow_inv = abelian_invariants(reps, op, ident)
-
+    coords, rel = _relation_lattice(reps, op, ident)
+    narrow = cokernel(rel)
     b0 = D & 1
     neg = cls_of((-1, b0, (D - b0 * b0) // 4))
-    if neg == ident:
-        wide_elems, wide_op, wide_ident = reps, op, ident
-    else:
-        def canon(x):
-            return min(x, op(x, neg))
-
-        def wide_op(x, y):
-            return canon(op(x, y))
-
-        wide_elems = sorted({canon(x) for x in reps})
-        wide_ident = canon(ident)
-    inv = abelian_invariants(wide_elems, wide_op, wide_ident)
-    return _class_record(d, D, inv, len(wide_elems),
-                         narrow_inv, len(reps), neg == ident)
+    wide = cokernel(rel.hstack(IntMatrix.from_columns([coords[neg]], rel.rows)))
+    return _class_record(d, D, wide.invariant_factors, wide.order,
+                         narrow.invariant_factors, narrow.order, neg == ident)
 
 
 def class_number(d: int) -> int:

@@ -1,8 +1,10 @@
-"""Every module-level import in the package is used by its module.
+"""Every module-level import in the package is used by its module, and
+every module-level private function or class is used by the package.
 
-A stdlib-only stand-in for a linter's unused-import rule: a name bound by
-a top-level import must appear as a name somewhere in the same module, or
-be re-exported through __all__.
+Stdlib-only stand-ins for a linter's unused-import and dead-code rules: a
+name bound by a top-level import must appear as a name somewhere in the
+same module, or be re-exported through __all__; a top-level `_name` def or
+class must be referenced somewhere in the package outside its own body.
 """
 
 import ast
@@ -41,3 +43,36 @@ def test_detector_flags_only_unused_names():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_module_level_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unreferenced_privates(sources: dict) -> list:
+    """module:name of each top-level private def or class in sources (a
+    {module: source} mapping) that no other top-level statement names."""
+    defined = []
+    references = {}
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            names |= {n.name for n in ast.walk(node) if isinstance(n, ast.alias)}
+            key = (module, node.lineno)
+            references[key] = names
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")):
+                defined.append((module, node.name, key))
+    return sorted(f"{module}:{name}" for module, name, key in defined
+                  if not any(name in names for k, names in references.items() if k != key))
+
+
+def test_private_detector_flags_only_unreferenced_names():
+    sources = {"a": ("def _used():\n    return 1\n"
+                     "def _recursive(n):\n    return _recursive(n - 1)\n"
+                     "class _Imported:\n    pass\n"
+                     "def public():\n    return _used()\n"),
+               "b": "from .a import _Imported\n"}
+    assert unreferenced_privates(sources) == ["a:_recursive"]
+
+
+def test_every_private_function_and_class_is_referenced():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert unreferenced_privates(sources) == []

@@ -16,12 +16,14 @@ from cptate import (
     class_group,
     class_number,
     classify_prime,
+    cokernel,
     cubic_rank_check,
     field_report,
     fixed_points,
     fundamental_unit,
     gauss_identity,
     kronecker,
+    lattice_member,
     narrow_class_invariants,
     nine_fields_check,
     quadratic_field,
@@ -37,8 +39,12 @@ from cptate.numfield import (
     _class_data,
     _compose_raw,
     _definite_reduce,
+    _indefinite_reduce,
     _principal_form,
     _reduced_forms_negative,
+    _reduced_forms_positive,
+    _relation_lattice,
+    _rho,
     factorize,
     is_prime,
     is_squarefree,
@@ -181,6 +187,10 @@ def test_class_group_invariants_known_structures():
     assert _class_data(-47).invariants == (5,)
     assert _class_data(-5).invariants == (2,)
     assert _class_data(5).invariants == ()
+    assert _class_data(-3299).invariants == (3, 9)
+    assert _class_data(-4027).invariants == (3, 3)
+    assert _class_data(-1365).invariants == (2, 2, 2, 2)
+    assert _class_data(-15015).invariants == (2, 2, 2, 12)
 
 
 def dirichlet_h(D):
@@ -215,6 +225,62 @@ def test_h0_of_class_group_is_two_torsion():
         data = _class_data(d)
         two_rank = sum(1 for f in data.invariants if f % 2 == 0)
         assert tate(class_group(d)).dim_h0 == two_rank, f"d = {d}"
+
+
+def test_class_group_structure_against_solution_counts():
+    # the number of x with x^n = 1 for every n | h determines a finite
+    # abelian group; here it is counted by plain repeated composition, and
+    # in a group with invariant factors f it is the product of gcd(n, f)
+    for d in squarefree_range(-1000, -2):
+        D = quadratic_field(d).discriminant
+        forms = _reduced_forms_negative(D)
+        e = _definite_reduce(_principal_form(D), D)
+        orders = []
+        for f in forms:
+            x, k = f, 1
+            while x != e:
+                x, k = _definite_reduce(_compose_raw(x, f, D), D), k + 1
+            orders.append(k)
+        invariants = _class_data(d).invariants
+        for n in range(1, len(forms) + 1):
+            if len(forms) % n == 0:
+                count = sum(1 for k in orders if n % k == 0)
+                assert count == math.prod(math.gcd(n, f) for f in invariants), f"d = {d}, n = {n}"
+
+
+def narrow_class_group(D):
+    """Classes of forms of discriminant D > 0 as their cycles' least forms,
+    with the composition law on them."""
+    sq = math.isqrt(D)
+
+    def cls(f):
+        f = _indefinite_reduce(f, D, sq)
+        cycle = [f]
+        while (g := _rho(cycle[-1], D, sq)) != f:
+            cycle.append(g)
+        return min(cycle)
+
+    classes = sorted({cls(f) for f in _reduced_forms_positive(D)})
+    return classes, lambda x, y: cls(_compose_raw(x, y, D)), cls(_principal_form(D))
+
+
+@pytest.mark.parametrize("d", [-14, -1365, -3299, 15, 219, 2410, 15015])
+def test_relation_lattice_coordinates_are_a_homomorphism(d):
+    D = quadratic_field(d).discriminant
+    if d < 0:
+        classes = _reduced_forms_negative(D)
+        ident = _definite_reduce(_principal_form(D), D)
+
+        def op(x, y):
+            return _definite_reduce(_compose_raw(x, y, D), D)
+    else:
+        classes, op, ident = narrow_class_group(D)
+    coords, rel = _relation_lattice(classes, op, ident)
+    assert len(coords) == len(classes) == cokernel(rel).order
+    for x in classes:
+        for y in classes:
+            diff = [a - b - c for a, b, c in zip(coords[op(x, y)], coords[x], coords[y])]
+            assert lattice_member(rel, diff) is not None, (x, y)
 
 
 # -- composition of definite forms ---------------------------------------------
@@ -315,6 +381,12 @@ def test_narrow_invariants_pins():
     assert narrow_class_invariants(10) == (2,)
     assert narrow_class_invariants(15) == (2, 2)
     assert narrow_class_invariants(34) == (4,)
+    # the wide group is not a direct factor of the narrow one here
+    for d, wide, narrow in ((219, (4,), (2, 4)), (410, (2, 2), (2, 4)),
+                            (2410, (2, 4), (2, 8)),
+                            (15015, (2, 2, 2, 2), (2, 2, 2, 2, 2))):
+        assert _class_data(d).invariants == wide, f"d = {d}"
+        assert narrow_class_invariants(d) == narrow, f"d = {d}"
     with pytest.raises(NotReal):
         narrow_class_invariants(-5)
 
