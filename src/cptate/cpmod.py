@@ -22,7 +22,7 @@ from .intlinalg import (
     induced_subquotient,
     snf,
     _cokernel_of,
-    _solve,
+    _first_outside,
 )
 
 
@@ -78,13 +78,22 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CpModule:
-    """Action of C_p = <t | t^p> on group, with t acting via tau."""
+    """Action of C_p = <t | t^p> on group, with t acting via tau. Modules
+    are equal when p, tau and the relations are: one tau on two
+    presentations of one group can give non-isomorphic modules."""
 
     p: int
     group: FgAbGroup
     tau: IntMatrix
+
+    def __eq__(self, other):
+        return (isinstance(other, CpModule) and (self.p, self.tau) == (other.p, other.tau)
+                and self.group.relations == other.group.relations)
+
+    def __hash__(self):
+        return hash((self.p, self.tau, self.group.relations))
 
     @property
     def ambient_rank(self):
@@ -94,17 +103,14 @@ class CpModule:
         return f"C_{self.p}-module on {self.group}"
 
 
-def _in_lattice_all(mat: IntMatrix, rel_dec) -> bool:
-    return all(_solve(rel_dec, mat.col(j)) is not None for j in range(mat.cols))
-
-
 def new_cp_module(p: int, relations: IntMatrix, tau: IntMatrix) -> CpModule:
     """Validated constructor.
 
     Checks, in order: p prime, shapes consistent, tau preserves the
     relation lattice, tau induces an automorphism (the lattice spanned by
     tau's columns together with the relations is all of Z^m), and
-    tau^p = 1 on the group.
+    tau^p = 1 on the group (tau^(p-1) inverts a tau of order p, so the
+    invertibility test only names the error once the order test fails).
     """
     if not is_prime(p):
         raise NotPrime(f"p = {p} is not prime")
@@ -113,15 +119,12 @@ def new_cp_module(p: int, relations: IntMatrix, tau: IntMatrix) -> CpModule:
         raise CpModuleError(f"tau must be {m}x{m}, got {tau.rows}x{tau.cols}")
     rel_dec = snf(relations)
     group = _cokernel_of(rel_dec)
-    if not _in_lattice_all(tau @ relations, rel_dec):
-        raise TauDoesNotDescend(
-            "tau does not map the relation lattice into itself"
-        )
-    # surjectivity on a f.g. group is equivalent to invertibility
-    if not cokernel(tau.hstack(relations)).is_trivial:
-        raise TauNotInvertible("tau is not surjective on the group")
-    tp = tau.power(p) - IntMatrix.identity(m)
-    if not _in_lattice_all(tp, rel_dec):
+    if _first_outside(rel_dec, tau @ relations) is not None:
+        raise TauDoesNotDescend("tau does not map the relation lattice into itself")
+    if _first_outside(rel_dec, tau.power(p) - IntMatrix.identity(m)) is not None:
+        # surjectivity on a f.g. group is equivalent to invertibility
+        if not cokernel(tau.hstack(relations)).is_trivial:
+            raise TauNotInvertible("tau is not surjective on the group")
         raise TauOrderNotDividingP(f"tau^{p} is not the identity on the group")
     return CpModule(p=p, group=group, tau=tau)
 
@@ -217,48 +220,36 @@ def sharp_dual(module: CpModule) -> CpModule:
     return new_cp_module(module.p, module.group.relations, inv)
 
 
-def _clean_free_presentation(module: CpModule):
-    """Rewrite the free quotient G / torsion on a basis of Z^r.
-
-    In coordinates y = U x from the Smith form of the relations, the
-    saturation of the relation lattice is spanned by the first `rank`
-    basis vectors, so the induced action on the quotient is the lower
-    right block of U tau U^-1.
-    """
+def _smith_conjugate(module: CpModule):
+    """The Smith form of the relations, and tau in its coordinates y = U x,
+    where the first `rank` basis vectors span the preimage of the torsion,
+    with the Smith diagonal as relations. tau keeps it, so U tau U^-1 has a
+    zero lower-left block, and its upper-left and lower-right blocks act on
+    the torsion and on the torsion-free quotient."""
     dec = snf(module.group.relations)
-    r = dec.rank
-    m = module.ambient_rank
-    conj = dec.u @ module.tau @ dec.u_inv
-    block = [[conj.at(i, j) for j in range(r, m)] for i in range(r, m)]
-    return IntMatrix.from_rows(block, cols=m - r)
+    return dec, dec.u @ module.tau @ dec.u_inv
+
+
+def _block(mat: IntMatrix, rows: range, cols: range) -> IntMatrix:
+    return IntMatrix.from_rows([[mat.at(i, j) for j in cols] for i in rows], cols=len(cols))
 
 
 def free_module(module: CpModule) -> CpModule:
     """The torsion-free quotient G / G_tor with the induced action."""
-    block = _clean_free_presentation(module)
-    return new_cp_module(module.p, IntMatrix.zeros(block.rows, 0), block)
+    dec, conj = _smith_conjugate(module)
+    free = range(dec.rank, module.ambient_rank)
+    return new_cp_module(module.p, IntMatrix.zeros(len(free), 0), _block(conj, free, free))
 
 
 def tor_module(module: CpModule) -> CpModule:
-    """The torsion subgroup with the restricted action.
-
-    The saturation of the relation lattice has basis the first `rank`
-    columns of U^-1; in that basis the relations become the diagonal of
-    the Smith form and the restricted action is solved for exactly.
-    """
-    dec = snf(module.group.relations)
-    r = dec.rank
-    basis = IntMatrix.from_columns([dec.u_inv.col(i) for i in range(r)], module.ambient_rank)
-    rel = IntMatrix.diagonal(list(dec.diagonal[:r]))
-    basis_dec = snf(basis)
-    cols = []
-    for j in range(r):
-        z = _solve(basis_dec, (module.tau @ basis).col(j))
-        if z is None:
-            raise CpModuleError("torsion subgroup is not tau-stable; validation broken")
-        cols.append(z)
-    tau_t = IntMatrix.from_columns(cols, r)
-    return new_cp_module(module.p, rel, tau_t)
+    """The torsion subgroup with the restricted action, presented by the
+    Smith diagonal of the relations (see _smith_conjugate)."""
+    dec, conj = _smith_conjugate(module)
+    tor, free = range(dec.rank), range(dec.rank, module.ambient_rank)
+    if not _block(conj, free, tor).is_zero():
+        raise CpModuleError("torsion subgroup is not tau-stable; validation broken")
+    return new_cp_module(module.p, IntMatrix.diagonal(dec.diagonal[:dec.rank]),
+                         _block(conj, tor, tor))
 
 
 def star_dual(module: CpModule) -> CpModule:
@@ -269,7 +260,7 @@ def star_dual(module: CpModule) -> CpModule:
     """
     if module.group.invariant_factors:
         raise ModuleNotTorsionFree(f"{module.group} has torsion")
-    clean = _clean_free_presentation(module)
+    clean = free_module(module).tau
     dual_tau = clean.power(module.p - 1).transpose()
     return new_cp_module(module.p, IntMatrix.zeros(clean.rows, 0), dual_tau)
 

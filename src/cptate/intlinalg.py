@@ -3,7 +3,8 @@
 Smith normal form with tracked unimodular transforms, integer lattice
 membership, cokernel presentations of finitely generated abelian groups,
 and the kernel/image subquotient construction that the cohomology layer
-is built on.
+is built on. Membership, coordinates and quotients of a lattice are all
+read off its one Smith form, without a second elimination.
 
 Everything uses plain Python ints, so there is no overflow anywhere.
 All public values are immutable.
@@ -229,15 +230,15 @@ class IntMatrix:
 class SmithDecomposition:
     """u @ source @ v == s with s = diag(d1, d2, ...), d1 | d2 | ... >= 0.
 
-    u and v are unimodular; their exact integer inverses are tracked
-    during elimination and exposed as u_inv, v_inv.
+    u and v are unimodular and u_inv is tracked. Only d_i, i < rank, are
+    nonzero, so source's columns span the lattice with basis d_i * u_inv.col(i):
+    b lies in it iff (u b)_i is divisible by d_i for i < rank and 0 beyond.
     """
 
     u: IntMatrix
     s: IntMatrix
     v: IntMatrix
     u_inv: IntMatrix
-    v_inv: IntMatrix
     source: IntMatrix
 
     @property
@@ -268,17 +269,16 @@ def snf(a: IntMatrix) -> SmithDecomposition:
     """Smith normal form by elimination with minimal-|pivot| selection.
 
     Every row operation on s is mirrored on u and undone on u_inv (as a
-    column operation); likewise for columns, v and v_inv. The invariants
-    u @ a @ v == s, u @ u_inv == 1, v @ v_inv == 1 therefore hold at
-    every step, and the final diagonal is nonnegative with each entry
-    dividing the next.
+    column operation); column operations are mirrored on v. The
+    invariants u @ a @ v == s and u @ u_inv == 1 therefore hold at every
+    step, and the final diagonal is nonnegative with each entry dividing
+    the next.
     """
     m, n = a.rows, a.cols
     s = a.to_rows()
     u = IntMatrix.identity(m).to_rows()
     uinv = IntMatrix.identity(m).to_rows()
     v = IntMatrix.identity(n).to_rows()
-    vinv = IntMatrix.identity(n).to_rows()
 
     def row_swap(i, j):
         s[i], s[j] = s[j], s[i]
@@ -306,7 +306,6 @@ def snf(a: IntMatrix) -> SmithDecomposition:
             r[i], r[j] = r[j], r[i]
         for r in v:
             r[i], r[j] = r[j], r[i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def col_sub(i, j, q):
         # col i -= q * col j
@@ -316,7 +315,6 @@ def snf(a: IntMatrix) -> SmithDecomposition:
             r[i] -= q * r[j]
         for r in v:
             r[i] -= q * r[j]
-        vinv[j] = [x + q * y for x, y in zip(vinv[j], vinv[i])]
 
     t = 0
     while t < min(m, n):
@@ -377,7 +375,6 @@ def snf(a: IntMatrix) -> SmithDecomposition:
         s=IntMatrix.from_rows(s, cols=n),
         v=IntMatrix.from_rows(v, cols=n),
         u_inv=IntMatrix.from_rows(uinv, cols=m),
-        v_inv=IntMatrix.from_rows(vinv, cols=n),
         source=a,
     )
     return dec
@@ -458,14 +455,16 @@ def kernel(a: IntMatrix) -> IntMatrix:
     return IntMatrix.from_columns(cols, a.cols)
 
 
-def lattice_basis(gens: IntMatrix) -> IntMatrix:
-    """Basis (independent columns) of the lattice spanned by the columns."""
-    dec = snf(gens)
-    cols = []
-    for i in range(dec.rank):
-        d = dec.diagonal[i]
-        cols.append(tuple(d * x for x in dec.u_inv.col(i)))
-    return IntMatrix.from_columns(cols, gens.rows)
+def _first_outside(dec: SmithDecomposition, mat: IntMatrix) -> int | None:
+    """Index of the first column of mat outside the column lattice of
+    dec.source, or None when all of them lie in it."""
+    dg, r = dec.diagonal, dec.rank
+    y = dec.u @ mat
+    for j in range(mat.cols):
+        c = y.col(j)
+        if any(c[r:]) or any(c[i] % dg[i] for i in range(r)):
+            return j
+    return None
 
 
 @dataclass(frozen=True)
@@ -555,15 +554,6 @@ def from_invariants(factors, free_rank=0) -> FgAbGroup:
     return cokernel(rel)
 
 
-def _require_descends(phi: IntMatrix, rel_dec: SmithDecomposition, what: str):
-    prod = phi @ rel_dec.source
-    for j in range(prod.cols):
-        if _solve(rel_dec, prod.col(j)) is None:
-            raise MatrixDoesNotDescend(
-                f"{what} maps relation column {j} outside the relation lattice"
-            )
-
-
 def induced_subquotient(group: FgAbGroup, ker_of: IntMatrix, im_of: IntMatrix) -> FgAbGroup:
     """Ker(ker_of) / Im(im_of) inside group = Z^m / L.
 
@@ -571,8 +561,10 @@ def induced_subquotient(group: FgAbGroup, ker_of: IntMatrix, im_of: IntMatrix) -
     and im_of must land inside the kernel of ker_of there. The numerator
     is the preimage lattice K = {x : ker_of x in L}, obtained by
     projecting the kernel of [ker_of | relations] onto the first m
-    coordinates; the result is K modulo (im_of columns + L), rewritten
-    in a basis of K and normalized.
+    coordinates. With u @ K_gens @ v == diag(d), K has the basis
+    d_i * u^-1 e_i (i < rank), so a denominator generator x (a column of
+    im_of or of L) has the coordinates (u x)_i / d_i in it; the result
+    is K modulo those columns, normalized.
     """
     m = group.ambient_rank
     rel = group.relations
@@ -580,27 +572,22 @@ def induced_subquotient(group: FgAbGroup, ker_of: IntMatrix, im_of: IntMatrix) -
         if mat.rows != m or mat.cols != m:
             raise DimensionMismatch(f"{name} must be {m}x{m}, got {mat.rows}x{mat.cols}")
     rel_dec = snf(rel)
-    _require_descends(ker_of, rel_dec, "ker_of")
-    _require_descends(im_of, rel_dec, "im_of")
-    comp = ker_of @ im_of
-    for j in range(m):
-        if _solve(rel_dec, comp.col(j)) is None:
-            raise CompositeNotZero(
-                f"ker_of @ im_of is nonzero on the group (generator {j})"
-            )
+    for name, mat in (("ker_of", ker_of), ("im_of", im_of)):
+        j = _first_outside(rel_dec, mat @ rel)
+        if j is not None:
+            raise MatrixDoesNotDescend(
+                f"{name} maps relation column {j} outside the relation lattice")
+    j = _first_outside(rel_dec, ker_of @ im_of)
+    if j is not None:
+        raise CompositeNotZero(f"ker_of @ im_of is nonzero on the group (generator {j})")
 
     big = snf(ker_of.hstack(rel))
     k_gens = [big.v.col(j)[:m] for j in range(big.rank, big.v.cols)]
-    num_basis = lattice_basis(IntMatrix.from_columns(k_gens, m))
-
-    denom_cols = im_of.columns() + rel.columns()
-    basis_dec = snf(num_basis)
-    coords = []
-    for colvec in denom_cols:
-        z = _solve(basis_dec, colvec)
-        if z is None:
-            # cannot happen once the checks above pass
-            raise CompositeNotZero("denominator generator escapes the numerator lattice")
-        coords.append(z)
-    inner = IntMatrix.from_columns(coords, num_basis.cols)
-    return cokernel(inner)
+    num = snf(IntMatrix.from_columns(k_gens, m))
+    denom = im_of.hstack(rel)
+    if _first_outside(num, denom) is not None:
+        # cannot happen once the checks above pass
+        raise CompositeNotZero("denominator generator escapes the numerator lattice")
+    y = num.u @ denom
+    inner = [[x // d for x in y.row(i)] for i, d in enumerate(num.diagonal[:num.rank])]
+    return cokernel(IntMatrix.from_rows(inner, cols=denom.cols))

@@ -5,6 +5,7 @@ machinery being tested."""
 
 import random
 from itertools import product
+from typing import NamedTuple
 
 from cptate import (
     CpModule,
@@ -92,8 +93,20 @@ def finite_catalog() -> list:
     return mods
 
 
+class BruteCounts(NamedTuple):
+    dim_h0: int
+    dim_h1: int
+    fixed_order: int        # |Ker S|, the number of fixed elements
+    fixed_p_torsion: int    # fixed elements killed by p
+
+
 def brute_tate_dims(module: CpModule):
-    """Tate dimensions by exhaustive element enumeration.
+    """(dim H^0, dim H^1) by exhaustive element enumeration."""
+    return brute_counts(module)[:2]
+
+
+def brute_counts(module: CpModule) -> BruteCounts:
+    """Tate dimensions and fixed-point counts by exhaustive enumeration.
 
     Works in Smith coordinates, where the group is a product of cyclic
     factors; asserts along the way that images sit inside the kernels and
@@ -145,4 +158,5 @@ def brute_tate_dims(module: CpModule):
             assert px in img, "quotient not elementary abelian"
         return dim
 
-    return quot_dim(ker_s, im_n), quot_dim(ker_n, im_s)
+    killed = sum(1 for x in ker_s if all((a * p) % di == 0 for a, di in zip(x, d)))
+    return BruteCounts(quot_dim(ker_s, im_n), quot_dim(ker_n, im_s), len(ker_s), killed)

@@ -6,7 +6,7 @@ from dataclasses import fields, replace
 
 import pytest
 
-from cptate import mfld, numfield
+from cptate import cpmod, intlinalg, mfld, numfield
 
 CASES = [(mfld.example_lens, (5,)), (mfld.example_hempel, (3, 4))]
 CASE_IDS = ["lens(5)", "hempel(3,4)"]
@@ -44,9 +44,34 @@ def test_example_checks_compute_cohomology_once(monkeypatch, make, args):
     assert counts == {"tor_module": 1, "free_module": 1, "tate": 3, "fixed_points": 1}
 
 
+def _count_snf(monkeypatch):
+    """Counters of the snf calls made inside intlinalg and from cpmod."""
+    return (_count_calls(monkeypatch, intlinalg, ("snf",)),
+            _count_calls(monkeypatch, cpmod, ("snf",)))
+
+
+@pytest.mark.parametrize("d, calls", [(10, 24), (-21, 23)])
+def test_field_report_smith_form_count(monkeypatch, d, calls):
+    # a work counter, not a time gate: a redundant Smith form raises it
+    numfield._class_data.cache_clear()
+    counts = _count_snf(monkeypatch)
+    numfield.field_report(d)
+    assert sum(c["snf"] for c in counts) == calls
+
+
+@pytest.mark.parametrize("make, args, calls",
+                         [(mfld.example_lens, (5,), 36), (mfld.example_hempel, (3, 4), 35)],
+                         ids=CASE_IDS)
+def test_example_smith_form_count(monkeypatch, make, args, calls):
+    counts = _count_snf(monkeypatch)
+    mfld.run_all_checks(make(*args))
+    assert sum(c["snf"] for c in counts) == calls
+
+
 @pytest.mark.parametrize("make, args", CASES, ids=CASE_IDS)
 def test_derived_fields_stay_out_of_equality_and_repr(make, args):
     e = make(*args)
+    assert make(*args) == e and hash(make(*args)) == hash(e)
     again = replace(e, h1=e.h1)
     assert again == e and hash(again) == hash(e)
     assert mfld.run_all_checks(again) == mfld.run_all_checks(e)

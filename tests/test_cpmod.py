@@ -33,6 +33,7 @@ from cptate import (
 from catalog import (
     PRIMES,
     base_blocks,
+    brute_counts,
     brute_tate_dims,
     conjugate,
     finite_catalog,
@@ -61,6 +62,11 @@ def test_rejects_tau_that_moves_the_lattice():
 def test_rejects_noninvertible_tau():
     with pytest.raises(TauNotInvertible):
         new_cp_module(2, IntMatrix.diagonal([4]), IntMatrix.from_rows([[2]]))
+    # not invertible and of the wrong order: invertibility is reported
+    with pytest.raises(TauNotInvertible):
+        new_cp_module(2, IntMatrix.zeros(1, 0), IntMatrix.from_rows([[2]]))
+    with pytest.raises(TauNotInvertible):
+        new_cp_module(3, IntMatrix.diagonal([3]), IntMatrix.from_rows([[0]]))
 
 
 def test_rejects_tau_of_wrong_order():
@@ -74,6 +80,21 @@ def test_rejects_tau_of_wrong_order():
 def test_rejects_shape_mismatch():
     with pytest.raises(Exception):
         new_cp_module(2, IntMatrix.zeros(2, 0), IntMatrix.identity(3))
+
+
+def test_module_equality_compares_the_presentation():
+    # one tau on two presentations of Z/2 x Z/2: a free and a trivial action
+    swap = IntMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    rel = IntMatrix.from_columns([[2, 0, 0], [0, 2, 0], [0, 0, 1]], 3)
+    a = new_cp_module(2, rel, swap)
+    b = new_cp_module(2, IntMatrix.from_columns([[1, 1, 0], [2, 0, 0], [0, 0, 2]], 3), swap)
+    assert a.group == b.group
+    assert (tate(a).dim_h0, tate(a).dim_h1) == (0, 0)
+    assert (tate(b).dim_h0, tate(b).dim_h1) == (2, 2)
+    assert a != b and len({a, b}) == 2
+    again = new_cp_module(2, rel, swap)
+    assert again == a and hash(again) == hash(a)
+    assert new_cp_module(3, rel, IntMatrix.identity(3)) != new_cp_module(2, rel, IntMatrix.identity(3))
 
 
 def test_direct_sum_prime_mismatch():
@@ -180,6 +201,16 @@ def test_brute_oracle_spot_checks():
         assert brute_tate_dims(m) == (co.dim_h0, co.dim_h1)
 
 
+def test_fixed_points_against_brute_counts():
+    for m in finite_catalog():
+        if m.group.order > 150:
+            continue
+        counts = brute_counts(m)
+        g = fixed_points(m)
+        assert g.order == counts.fixed_order
+        assert m.p ** g.p_rank(m.p) == counts.fixed_p_torsion
+
+
 # -- structural operators ----------------------------------------------------
 
 
@@ -238,6 +269,20 @@ def test_basis_change_invariance(seed, p):
     assert (tate(c).dim_h0, tate(c).dim_h1) == (tate(m).dim_h0, tate(m).dim_h1)
     assert fixed_points(c) == fixed_points(m)
     assert c.group == m.group
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 1000), st.sampled_from(PRIMES),
+       st.sampled_from((free_regular_module, augmentation_module, trivial_free_module)))
+def test_tor_and_free_parts_survive_basis_change(seed, p, lattice):
+    rng = random.Random(seed)
+    block = rng.choice(base_blocks(p))
+    m = direct_sum(block, lattice(p))
+    c = conjugate(m, random_unimodular(rng, m.ambient_rank))
+    tor = tor_module(c)
+    assert tor.group == block.group
+    assert (tate(tor).dim_h0, tate(tor).dim_h1) == (tate(block).dim_h0, tate(block).dim_h1)
+    assert classify_free(free_module(c)) == classify_free(lattice(p))
 
 
 @settings(max_examples=25, deadline=None)

@@ -19,7 +19,6 @@ from cptate import (
     induced_subquotient,
     inverse_unimodular,
     kernel,
-    lattice_basis,
     lattice_member,
     snf,
 )
@@ -90,7 +89,7 @@ def check_snf_contract(a):
     dec = snf(a)
     assert dec.u @ a @ dec.v == dec.s
     assert dec.u @ dec.u_inv == IntMatrix.identity(a.rows)
-    assert dec.v @ dec.v_inv == IntMatrix.identity(a.cols)
+    assert abs(det(dec.v)) == 1
     diag = dec.diagonal
     assert all(x >= 0 for x in diag)
     for x, y in zip(diag, diag[1:]):
@@ -220,17 +219,6 @@ def test_kernel_columns_annihilated(a):
     assert (a @ k).is_zero()
     # completeness: rank(a) + kernel dimension = number of columns
     assert snf(k).rank == a.cols - snf(a).rank
-
-
-@settings(max_examples=60, deadline=None)
-@given(matrices)
-def test_lattice_basis_spans_same_lattice(a):
-    b = lattice_basis(a)
-    assert b.cols == snf(a).rank
-    for j in range(a.cols):
-        assert lattice_member(b, a.col(j)) is not None
-    for j in range(b.cols):
-        assert lattice_member(a, b.col(j)) is not None
 
 
 # -- finitely generated abelian groups ---------------------------------------
