@@ -20,6 +20,7 @@ from .intlinalg import (
     IntMatrix,
     cokernel,
     induced_subquotient,
+    inverse_unimodular,
     snf,
     _cokernel_of,
     _first_outside,
@@ -119,9 +120,9 @@ def new_cp_module(p: int, relations: IntMatrix, tau: IntMatrix) -> CpModule:
         raise CpModuleError(f"tau must be {m}x{m}, got {tau.rows}x{tau.cols}")
     rel_dec = snf(relations)
     group = _cokernel_of(rel_dec)
-    if _first_outside(rel_dec, tau @ relations) is not None:
+    if _first_outside(rel_dec, rel_dec.u @ (tau @ relations)) is not None:
         raise TauDoesNotDescend("tau does not map the relation lattice into itself")
-    if _first_outside(rel_dec, tau.power(p) - IntMatrix.identity(m)) is not None:
+    if _first_outside(rel_dec, rel_dec.u @ (tau.power(p) - IntMatrix.identity(m))) is not None:
         # surjectivity on a f.g. group is equivalent to invertibility
         if not cokernel(tau.hstack(relations)).is_trivial:
             raise TauNotInvertible("tau is not surjective on the group")
@@ -221,13 +222,13 @@ def sharp_dual(module: CpModule) -> CpModule:
 
 
 def _smith_conjugate(module: CpModule):
-    """The Smith form of the relations, and tau in its coordinates y = U x,
-    where the first `rank` basis vectors span the preimage of the torsion,
-    with the Smith diagonal as relations. tau keeps it, so U tau U^-1 has a
-    zero lower-left block, and its upper-left and lower-right blocks act on
-    the torsion and on the torsion-free quotient."""
-    dec = snf(module.group.relations)
-    return dec, dec.u @ module.tau @ dec.u_inv
+    """The Smith form of the relations that the group keeps, and tau in its
+    coordinates y = U x, where the first `rank` basis vectors span the
+    preimage of the torsion, with the Smith diagonal as relations. tau keeps
+    it, so U tau U^-1 has a zero lower-left block, and its upper-left and
+    lower-right blocks act on the torsion and on the torsion-free quotient."""
+    dec = module.group.smith
+    return dec, dec.u @ module.tau @ inverse_unimodular(dec.u)
 
 
 def _block(mat: IntMatrix, rows: range, cols: range) -> IntMatrix:

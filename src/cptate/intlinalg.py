@@ -1,10 +1,10 @@
 """Exact integer linear algebra over Z.
 
-Smith normal form with tracked unimodular transforms, integer lattice
+Smith normal form with its unimodular transforms, integer lattice
 membership, cokernel presentations of finitely generated abelian groups,
 and the kernel/image subquotient construction that the cohomology layer
 is built on. Membership, coordinates and quotients of a lattice are all
-read off its one Smith form, without a second elimination.
+read off its one Smith form, which a group keeps from its cokernel.
 
 Everything uses plain Python ints, so there is no overflow anywhere.
 All public values are immutable.
@@ -124,9 +124,6 @@ class IntMatrix:
     def col(self, j):
         return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
-    def columns(self):
-        return [self.col(j) for j in range(self.cols)]
-
     def to_rows(self):
         return [list(self.row(i)) for i in range(self.rows)]
 
@@ -214,12 +211,6 @@ class IntMatrix:
     def is_zero(self):
         return all(x == 0 for x in self.entries)
 
-    def is_identity(self):
-        return self.rows == self.cols and self == IntMatrix.identity(self.rows)
-
-    def main_diagonal(self):
-        return tuple(self.at(i, i) for i in range(min(self.rows, self.cols)))
-
     def __repr__(self):
         if self.rows * self.cols <= 16:
             return f"IntMatrix({self.to_rows()!r})"
@@ -228,22 +219,18 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """u @ source @ v == s with s = diag(d1, d2, ...), d1 | d2 | ... >= 0.
+    """u @ source @ v == diag(d1, d2, ...) with d1 | d2 | ... >= 0.
 
-    u and v are unimodular and u_inv is tracked. Only d_i, i < rank, are
-    nonzero, so source's columns span the lattice with basis d_i * u_inv.col(i):
-    b lies in it iff (u b)_i is divisible by d_i for i < rank and 0 beyond.
+    u and v are unimodular; diagonal holds the min(rows, cols) entries d_i.
+    Only d_i, i < rank, are nonzero, so source's columns span the lattice
+    with basis d_i * u^-1 e_i: b lies in it iff (u b)_i is divisible by d_i
+    for i < rank and 0 beyond.
     """
 
     u: IntMatrix
-    s: IntMatrix
     v: IntMatrix
-    u_inv: IntMatrix
+    diagonal: tuple
     source: IntMatrix
-
-    @property
-    def diagonal(self):
-        return self.s.main_diagonal()
 
     @property
     def rank(self):
@@ -268,23 +255,18 @@ def _find_pivot(s, t, m, n):
 def snf(a: IntMatrix) -> SmithDecomposition:
     """Smith normal form by elimination with minimal-|pivot| selection.
 
-    Every row operation on s is mirrored on u and undone on u_inv (as a
-    column operation); column operations are mirrored on v. The
-    invariants u @ a @ v == s and u @ u_inv == 1 therefore hold at every
-    step, and the final diagonal is nonnegative with each entry dividing
-    the next.
+    Every row operation on s is mirrored on u and every column operation
+    on v, so u @ a @ v == s holds at every step; the final s is diagonal,
+    nonnegative, with each entry dividing the next.
     """
     m, n = a.rows, a.cols
     s = a.to_rows()
     u = IntMatrix.identity(m).to_rows()
-    uinv = IntMatrix.identity(m).to_rows()
     v = IntMatrix.identity(n).to_rows()
 
     def row_swap(i, j):
         s[i], s[j] = s[j], s[i]
         u[i], u[j] = u[j], u[i]
-        for r in uinv:
-            r[i], r[j] = r[j], r[i]
 
     def row_sub(i, j, q):
         # row i -= q * row j
@@ -292,14 +274,10 @@ def snf(a: IntMatrix) -> SmithDecomposition:
             return
         s[i] = [x - q * y for x, y in zip(s[i], s[j])]
         u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-        for r in uinv:
-            r[j] += q * r[i]
 
     def row_neg(i):
         s[i] = [-x for x in s[i]]
         u[i] = [-x for x in u[i]]
-        for r in uinv:
-            r[i] = -r[i]
 
     def col_swap(i, j):
         for r in s:
@@ -366,18 +344,14 @@ def snf(a: IntMatrix) -> SmithDecomposition:
             # gcd on the next pass
             s[t] = [x + y for x, y in zip(s[t], s[bad_row])]
             u[t] = [x + y for x, y in zip(u[t], u[bad_row])]
-            for r in uinv:
-                r[bad_row] -= r[t]
         t += 1
 
-    dec = SmithDecomposition(
+    return SmithDecomposition(
         u=IntMatrix.from_rows(u, cols=m),
-        s=IntMatrix.from_rows(s, cols=n),
         v=IntMatrix.from_rows(v, cols=n),
-        u_inv=IntMatrix.from_rows(uinv, cols=m),
+        diagonal=tuple(s[i][i] for i in range(min(m, n))),
         source=a,
     )
-    return dec
 
 
 def det(a: IntMatrix) -> int:
@@ -411,7 +385,7 @@ def inverse_unimodular(a: IntMatrix) -> IntMatrix:
     if a.rows != a.cols:
         raise NotUnimodular("not square")
     dec = snf(a)
-    if not dec.s.is_identity():
+    if dec.diagonal != (1,) * a.rows:
         raise NotUnimodular(f"element divisors {dec.diagonal} != all 1")
     # u a v == 1  =>  a^-1 == v u
     return dec.v @ dec.u
@@ -455,12 +429,11 @@ def kernel(a: IntMatrix) -> IntMatrix:
     return IntMatrix.from_columns(cols, a.cols)
 
 
-def _first_outside(dec: SmithDecomposition, mat: IntMatrix) -> int | None:
-    """Index of the first column of mat outside the column lattice of
-    dec.source, or None when all of them lie in it."""
+def _first_outside(dec: SmithDecomposition, y: IntMatrix) -> int | None:
+    """Index of the first column of y = dec.u @ mat whose column of mat lies
+    outside the column lattice of dec.source, or None if there is none."""
     dg, r = dec.diagonal, dec.rank
-    y = dec.u @ mat
-    for j in range(mat.cols):
+    for j in range(y.cols):
         c = y.col(j)
         if any(c[r:]) or any(c[i] % dg[i] for i in range(r)):
             return j
@@ -473,13 +446,13 @@ class FgAbGroup:
 
     invariant_factors and free_rank are the normalized isomorphism
     invariants (unit factors dropped, each factor dividing the next);
-    equality compares those, not the presentation.
+    equality compares those, not the presentation. smith is the relations'
+    Smith form they were read off, kept so no reader takes a second one.
     """
 
     invariant_factors: tuple
     free_rank: int
-    ambient_rank: int = field(compare=False)
-    relations: IntMatrix = field(compare=False)
+    smith: SmithDecomposition = field(compare=False, repr=False)
 
     def __post_init__(self):
         for a, b in zip(self.invariant_factors, self.invariant_factors[1:]):
@@ -489,6 +462,14 @@ class FgAbGroup:
             raise ValueError("invariant factors must be > 1")
         if self.free_rank < 0:
             raise ValueError("negative free rank")
+
+    @property
+    def relations(self):
+        return self.smith.source
+
+    @property
+    def ambient_rank(self):
+        return self.smith.source.rows
 
     @property
     def is_finite(self):
@@ -532,12 +513,10 @@ def cokernel(relations: IntMatrix) -> FgAbGroup:
 
 def _cokernel_of(dec: SmithDecomposition) -> FgAbGroup:
     """The cokernel of dec.source, read off its Smith form."""
-    relations = dec.source
     return FgAbGroup(
         invariant_factors=tuple(d for d in dec.diagonal if d > 1),
-        free_rank=relations.rows - dec.rank,
-        ambient_rank=relations.rows,
-        relations=relations,
+        free_rank=dec.source.rows - dec.rank,
+        smith=dec,
     )
 
 
@@ -571,23 +550,22 @@ def induced_subquotient(group: FgAbGroup, ker_of: IntMatrix, im_of: IntMatrix) -
     for name, mat in (("ker_of", ker_of), ("im_of", im_of)):
         if mat.rows != m or mat.cols != m:
             raise DimensionMismatch(f"{name} must be {m}x{m}, got {mat.rows}x{mat.cols}")
-    rel_dec = snf(rel)
+    rel_dec = group.smith
     for name, mat in (("ker_of", ker_of), ("im_of", im_of)):
-        j = _first_outside(rel_dec, mat @ rel)
+        j = _first_outside(rel_dec, rel_dec.u @ (mat @ rel))
         if j is not None:
             raise MatrixDoesNotDescend(
                 f"{name} maps relation column {j} outside the relation lattice")
-    j = _first_outside(rel_dec, ker_of @ im_of)
+    j = _first_outside(rel_dec, rel_dec.u @ (ker_of @ im_of))
     if j is not None:
         raise CompositeNotZero(f"ker_of @ im_of is nonzero on the group (generator {j})")
 
-    big = snf(ker_of.hstack(rel))
-    k_gens = [big.v.col(j)[:m] for j in range(big.rank, big.v.cols)]
-    num = snf(IntMatrix.from_columns(k_gens, m))
+    k = kernel(ker_of.hstack(rel))
+    num = snf(IntMatrix(m, k.cols, k.entries[:m * k.cols]))
     denom = im_of.hstack(rel)
-    if _first_outside(num, denom) is not None:
+    y = num.u @ denom
+    if _first_outside(num, y) is not None:
         # cannot happen once the checks above pass
         raise CompositeNotZero("denominator generator escapes the numerator lattice")
-    y = num.u @ denom
     inner = [[x // d for x in y.row(i)] for i, d in enumerate(num.diagonal[:num.rank])]
     return cokernel(IntMatrix.from_rows(inner, cols=denom.cols))

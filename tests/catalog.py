@@ -117,7 +117,7 @@ def brute_counts(module: CpModule) -> BruteCounts:
     if dec.rank != m:
         raise ValueError("finite modules only")
     d = list(dec.diagonal)
-    ty = (dec.u @ module.tau @ dec.u_inv).to_rows()
+    ty = (dec.u @ module.tau @ inverse_unimodular(dec.u)).to_rows()
     zero = (0,) * m
     p = module.p
 

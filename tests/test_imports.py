@@ -1,10 +1,14 @@
-"""Every module-level import in the package is used by its module, and
-every module-level private function or class is used by the package.
+"""Every module-level import in the package is used by its module, every
+module-level private function or class is used by the package, and every
+public method of a package class is read somewhere.
 
 Stdlib-only stand-ins for a linter's unused-import and dead-code rules: a
 name bound by a top-level import must appear as a name somewhere in the
 same module, or be re-exported through __all__; a top-level `_name` def or
-class must be referenced somewhere in the package outside its own body.
+class must be referenced somewhere in the package outside its own body; a
+public method or property of a class must be named by an attribute access
+(or a string constant, as getattr takes) in the package, its tests or its
+benchmark.
 """
 
 import ast
@@ -12,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "cptate"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "cptate"
 
 
 def unused_imports(source: str) -> list:
@@ -76,3 +81,39 @@ def test_private_detector_flags_only_unreferenced_names():
 def test_every_private_function_and_class_is_referenced():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert unreferenced_privates(sources) == []
+
+
+def unaccessed_methods(package: list, readers: list) -> list:
+    """Class.name of each public method or property of a class in package
+    (a list of sources) that no attribute access or string constant in
+    readers (a list of sources) names."""
+    accessed = set()
+    for source in readers:
+        for n in ast.walk(ast.parse(source)):
+            if isinstance(n, ast.Attribute):
+                accessed.add(n.attr)
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                accessed.add(n.value)
+    return sorted(f"{cls.name}.{f.name}" for source in package
+                  for cls in ast.walk(ast.parse(source)) if isinstance(cls, ast.ClassDef)
+                  for f in cls.body
+                  if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and not f.name.startswith("_") and f.name not in accessed)
+
+
+def test_method_detector_flags_only_unaccessed_names():
+    package = ("class A:\n"
+               "    def used(self):\n        return self.prop\n"
+               "    @property\n    def prop(self):\n        return 1\n"
+               "    def fetched(self):\n        pass\n"
+               "    def columns(self):\n        pass\n"
+               "    def _private(self):\n        pass\n")
+    reader = "columns = A()\ncolumns.used()\ngetattr(columns, 'fetched')\n"
+    assert unaccessed_methods([package], [package, reader]) == ["A.columns"]
+
+
+def test_every_public_method_is_accessed():
+    package = [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))]
+    readers = package + [p.read_text(encoding="utf-8")
+                         for d in ("tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+    assert unaccessed_methods(package, readers) == []
