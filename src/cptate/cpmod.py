@@ -2,7 +2,8 @@
 
 A module is a finitely generated abelian group G = Z^m / L together with
 an integer matrix tau whose induced map on G is an automorphism of order
-dividing p. With S = tau - 1 and N = 1 + tau + ... + tau^(p-1):
+dividing p. With S = tau - 1 and N = 1 + tau + ... + tau^(p-1), which every
+module keeps as its `norm`, computed once when the module is built:
 
     H^0 = Ker S / Im N        (fixed points modulo norms)
     H^1 = Ker N / Im S
@@ -13,7 +14,7 @@ rank (the Herbrand quotient is trivial).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .intlinalg import (
     FgAbGroup,
@@ -83,11 +84,15 @@ def is_prime(n: int) -> bool:
 class CpModule:
     """Action of C_p = <t | t^p> on group, with t acting via tau. Modules
     are equal when p, tau and the relations are: one tau on two
-    presentations of one group can give non-isomorphic modules."""
+    presentations of one group can give non-isomorphic modules.
+
+    norm is always N = 1 + tau + ... + tau^(p-1) of this (tau, p); it
+    is derived from them, so equality and hashing leave it out."""
 
     p: int
     group: FgAbGroup
     tau: IntMatrix
+    norm: IntMatrix = field(repr=False)
 
     def __eq__(self, other):
         return (isinstance(other, CpModule) and (self.p, self.tau) == (other.p, other.tau)
@@ -104,14 +109,29 @@ class CpModule:
         return f"C_{self.p}-module on {self.group}"
 
 
+def _norm(tau: IntMatrix, p: int) -> IntMatrix:
+    """N = 1 + tau + ... + tau^(p-1) by doubling, on the bits of p:
+    N_2k = N_k + tau^k N_k and N_(k+1) = 1 + tau N_k, where
+    tau^k = 1 + S N_k, so each bit costs one product of two large factors."""
+    one = IntMatrix.identity(tau.rows)
+    s_op = tau - one
+    n = one
+    for bit in bin(p)[3:]:
+        n = n + (one + s_op @ n) @ n
+        if bit == "1":
+            n = one + tau @ n
+    return n
+
+
 def new_cp_module(p: int, relations: IntMatrix, tau: IntMatrix) -> CpModule:
     """Validated constructor.
 
     Checks, in order: p prime, shapes consistent, tau preserves the
     relation lattice, tau induces an automorphism (the lattice spanned by
     tau's columns together with the relations is all of Z^m), and
-    tau^p = 1 on the group (tau^(p-1) inverts a tau of order p, so the
-    invertibility test only names the error once the order test fails).
+    tau^p = 1 on the group, tested as S N = tau^p - 1 = 0 there (tau^(p-1)
+    inverts a tau of order p, so the invertibility test only names the
+    error once the order test fails).
     """
     if not is_prime(p):
         raise NotPrime(f"p = {p} is not prime")
@@ -122,28 +142,18 @@ def new_cp_module(p: int, relations: IntMatrix, tau: IntMatrix) -> CpModule:
     group = _cokernel_of(rel_dec)
     if _first_outside(rel_dec, rel_dec.u @ (tau @ relations)) is not None:
         raise TauDoesNotDescend("tau does not map the relation lattice into itself")
-    if _first_outside(rel_dec, rel_dec.u @ (tau.power(p) - IntMatrix.identity(m))) is not None:
+    norm = _norm(tau, p)
+    if _first_outside(rel_dec, rel_dec.u @ (tau @ norm - norm)) is not None:
         # surjectivity on a f.g. group is equivalent to invertibility
         if not cokernel(tau.hstack(relations)).is_trivial:
             raise TauNotInvertible("tau is not surjective on the group")
         raise TauOrderNotDividingP(f"tau^{p} is not the identity on the group")
-    return CpModule(p=p, group=group, tau=tau)
+    return CpModule(p=p, group=group, tau=tau, norm=norm)
 
 
 def trivial_module(p: int, group: FgAbGroup) -> CpModule:
     """The group with tau acting as the identity."""
     return new_cp_module(p, group.relations, IntMatrix.identity(group.ambient_rank))
-
-
-def norm_operator(module: CpModule) -> IntMatrix:
-    """N = 1 + tau + ... + tau^(p-1)."""
-    m = module.ambient_rank
-    acc = IntMatrix.identity(m)
-    out = IntMatrix.identity(m)
-    for _ in range(module.p - 1):
-        acc = module.tau @ acc
-        out = out + acc
-    return out
 
 
 @dataclass(frozen=True)
@@ -159,11 +169,9 @@ def tate(module: CpModule) -> TateCohomology:
     violation would mean the module failed validation, so it is treated
     as an internal error rather than a verdict.
     """
-    m = module.ambient_rank
-    s_op = module.tau - IntMatrix.identity(m)
-    n_op = norm_operator(module)
-    h0 = induced_subquotient(module.group, s_op, n_op)
-    h1 = induced_subquotient(module.group, n_op, s_op)
+    s_op = module.tau - IntMatrix.identity(module.ambient_rank)
+    h0 = induced_subquotient(module.group, s_op, module.norm)
+    h1 = induced_subquotient(module.group, module.norm, s_op)
     for name, h in (("H^0", h0), ("H^1", h1)):
         if h.free_rank != 0 or any(f != module.p for f in h.invariant_factors):
             raise CpModuleError(
@@ -222,13 +230,15 @@ def sharp_dual(module: CpModule) -> CpModule:
 
 
 def _smith_conjugate(module: CpModule):
-    """The Smith form of the relations that the group keeps, and tau in its
-    coordinates y = U x, where the first `rank` basis vectors span the
+    """The Smith form of the relations that the group keeps, and tau and N
+    in its coordinates y = U x, where the first `rank` basis vectors span the
     preimage of the torsion, with the Smith diagonal as relations. tau keeps
     it, so U tau U^-1 has a zero lower-left block, and its upper-left and
-    lower-right blocks act on the torsion and on the torsion-free quotient."""
+    lower-right blocks act on the torsion and on the torsion-free quotient.
+    N is a polynomial in tau, so the blocks of U N U^-1 are the parts' N."""
     dec = module.group.smith
-    return dec, dec.u @ module.tau @ inverse_unimodular(dec.u)
+    u_inv = inverse_unimodular(dec.u)
+    return dec, dec.u @ module.tau @ u_inv, dec.u @ module.norm @ u_inv
 
 
 def _block(mat: IntMatrix, rows: range, cols: range) -> IntMatrix:
@@ -237,20 +247,21 @@ def _block(mat: IntMatrix, rows: range, cols: range) -> IntMatrix:
 
 def free_module(module: CpModule) -> CpModule:
     """The torsion-free quotient G / G_tor with the induced action."""
-    dec, conj = _smith_conjugate(module)
+    dec, tau, norm = _smith_conjugate(module)
     free = range(dec.rank, module.ambient_rank)
-    return new_cp_module(module.p, IntMatrix.zeros(len(free), 0), _block(conj, free, free))
+    return CpModule(module.p, cokernel(IntMatrix.zeros(len(free), 0)),
+                    _block(tau, free, free), _block(norm, free, free))
 
 
 def tor_module(module: CpModule) -> CpModule:
     """The torsion subgroup with the restricted action, presented by the
     Smith diagonal of the relations (see _smith_conjugate)."""
-    dec, conj = _smith_conjugate(module)
+    dec, tau, norm = _smith_conjugate(module)
     tor, free = range(dec.rank), range(dec.rank, module.ambient_rank)
-    if not _block(conj, free, tor).is_zero():
+    if not _block(tau, free, tor).is_zero():
         raise CpModuleError("torsion subgroup is not tau-stable; validation broken")
-    return new_cp_module(module.p, IntMatrix.diagonal(dec.diagonal[:dec.rank]),
-                         _block(conj, tor, tor))
+    return CpModule(module.p, cokernel(IntMatrix.diagonal(dec.diagonal[:dec.rank])),
+                    _block(tau, tor, tor), _block(norm, tor, tor))
 
 
 def star_dual(module: CpModule) -> CpModule:

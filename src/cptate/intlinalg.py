@@ -13,6 +13,7 @@ All public values are immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 
 
 class DimensionMismatch(ValueError):
@@ -136,15 +137,9 @@ class IntMatrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        a = self.to_rows()
-        b = other.to_rows()
-        n, k, m = self.rows, self.cols, other.cols
-        flat = []
-        for i in range(n):
-            ai = a[i]
-            for j in range(m):
-                flat.append(sum(ai[t] * b[t][j] for t in range(k)))
-        return IntMatrix(n, m, tuple(flat))
+        cols = [other.entries[j::other.cols] for j in range(other.cols)]
+        return IntMatrix(self.rows, other.cols, tuple(
+            sum(map(mul, self.row(i), c)) for i in range(self.rows) for c in cols))
 
     def __add__(self, other):
         if not isinstance(other, IntMatrix):
@@ -391,35 +386,19 @@ def inverse_unimodular(a: IntMatrix) -> IntMatrix:
     return dec.v @ dec.u
 
 
-def _solve(dec: SmithDecomposition, b) -> tuple | None:
-    """One integer solution x of source @ x == b, or None."""
-    m, n = dec.source.rows, dec.source.cols
-    b = tuple(b)
-    if len(b) != m:
-        raise DimensionMismatch(f"vector length {len(b)} != rows {m}")
-    c = dec.u.apply(b)
-    dg = dec.diagonal
-    y = [0] * n
-    for i in range(m):
-        di = dg[i] if i < len(dg) else 0
-        if di == 0:
-            if c[i] != 0:
-                return None
-        else:
-            q, r = divmod(c[i], di)
-            if r:
-                return None
-            y[i] = q
-    return dec.v.apply(y)
-
-
 def lattice_member(a: IntMatrix, b) -> tuple | None:
     """Solve a @ x == b over Z; returns one solution or None.
 
     Equivalently: decide whether b lies in the lattice generated by the
-    columns of a, with an explicit coordinate certificate.
+    columns of a, with an explicit coordinate certificate: with
+    u @ a @ v == diag(d), x = v y where y_i = (u b)_i / d_i below the rank.
     """
-    return _solve(snf(a), b)
+    dec = snf(a)
+    c = dec.u @ IntMatrix(a.rows, 1, tuple(b))
+    if _first_outside(dec, c) is not None:
+        return None
+    y = [x // d for x, d in zip(c.entries, dec.diagonal[:dec.rank])]
+    return dec.v.apply(y + [0] * (a.cols - dec.rank))
 
 
 def kernel(a: IntMatrix) -> IntMatrix:

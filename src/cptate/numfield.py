@@ -274,9 +274,7 @@ def _reduced_forms_positive(D: int) -> list:
             while a * a <= m:
                 if m % a == 0:
                     for aa in {a, m // a}:
-                        lo = (2 * aa + b) * (2 * aa + b) > D
-                        hi = 2 * aa - b <= 0 or (2 * aa - b) * (2 * aa - b) < D
-                        if lo and hi:
+                        if _is_reduced_indefinite((aa, b, -(m // aa)), D):
                             forms.append((aa, b, -(m // aa)))
                             forms.append((-aa, b, m // aa))
                 a += 1
@@ -345,42 +343,38 @@ def _class_record(d, D, inv, h, narrow_inv, narrow_h, neg_trivial) -> ClassData:
 
 @lru_cache(maxsize=1024)
 def _class_data(d: int) -> ClassData:
-    """The field's record. The class group (d < 0) or the narrow class
-    group (d > 0) is the cokernel of one relation lattice on the reduced
-    forms; the wide group is the narrow group modulo the class of
+    """The field's record. Each sign supplies its classes' representatives
+    and cls_of, the class of a form: the reduced forms for d < 0, one
+    reduced form per cycle for d > 0. The class group (d < 0) or the
+    narrow class group (d > 0) is the cokernel of one relation lattice on
+    them; the wide group is the narrow group modulo the class of
     (-1, b0, *), that is the cokernel of the same lattice plus that
     class's coordinates as one more column."""
-    field = quadratic_field(d)
-    D = field.discriminant
+    D = quadratic_field(d).discriminant
     if d < 0:
-        forms = _reduced_forms_negative(D)
-        ident = _definite_reduce(_principal_form(D), D)
+        reps = _reduced_forms_negative(D)
 
-        def op(x, y):
-            return _definite_reduce(_compose_raw(x, y, D), D)
+        def cls_of(form):
+            return _definite_reduce(form, D)
+    else:
+        sq = isqrt(D)
+        cycle_of = {}
+        reps = []
+        for f in _reduced_forms_positive(D):
+            if f in cycle_of:
+                continue
+            orbit = [f]
+            g = _rho(f, D, sq)
+            while g != f:
+                orbit.append(g)
+                g = _rho(g, D, sq)
+            rep = min(orbit)
+            for h in orbit:
+                cycle_of[h] = rep
+            reps.append(rep)
 
-        cl = cokernel(_relation_lattice(forms, op, ident)[1])
-        return _class_record(d, D, cl.invariant_factors, cl.order, None, None, None)
-
-    sq = isqrt(D)
-    forms = _reduced_forms_positive(D)
-    cycle_of = {}
-    reps = []
-    for f in forms:
-        if f in cycle_of:
-            continue
-        orbit = [f]
-        g = _rho(f, D, sq)
-        while g != f:
-            orbit.append(g)
-            g = _rho(g, D, sq)
-        rep = min(orbit)
-        for h in orbit:
-            cycle_of[h] = rep
-        reps.append(rep)
-
-    def cls_of(form):
-        return cycle_of[_indefinite_reduce(form, D, sq)]
+        def cls_of(form):
+            return cycle_of[_indefinite_reduce(form, D, sq)]
 
     def op(x, y):
         return cls_of(_compose_raw(x, y, D))
@@ -388,6 +382,8 @@ def _class_data(d: int) -> ClassData:
     ident = cls_of(_principal_form(D))
     coords, rel = _relation_lattice(reps, op, ident)
     narrow = cokernel(rel)
+    if d < 0:
+        return _class_record(d, D, narrow.invariant_factors, narrow.order, None, None, None)
     b0 = D & 1
     neg = cls_of((-1, b0, (D - b0 * b0) // 4))
     wide = cokernel(rel.hstack(IntMatrix.from_columns([coords[neg]], rel.rows)))
@@ -706,7 +702,6 @@ def read_cubic_csv(path) -> list:
 
 @dataclass(frozen=True)
 class QuadraticFieldReport:
-    field: QuadraticField
     ramification: RamificationData
     class_data: ClassData
     unit: FundamentalUnit | None
@@ -722,7 +717,6 @@ def field_report(d: int) -> QuadraticFieldReport:
         "cor_lower": check_cor_lower_nf(d),
     }
     return QuadraticFieldReport(
-        field=quadratic_field(d),
         ramification=ramification(d),
         class_data=_class_data(d),
         unit=fundamental_unit(d) if d > 1 else None,
@@ -739,8 +733,8 @@ def report_to_dict(report: QuadraticFieldReport) -> dict:
 
     data = report.class_data
     return {
-        "d": report.field.d,
-        "discriminant": report.field.discriminant,
+        "d": data.d,
+        "discriminant": data.discriminant,
         "s0": report.ramification.s0,
         "s_inf": report.ramification.s_inf,
         "s": report.ramification.s,

@@ -45,6 +45,15 @@ def test_example_checks_compute_cohomology_once(monkeypatch, make, args):
     assert counts == {"tor_module": 1, "free_module": 1, "tate": 3, "fixed_points": 1}
 
 
+@pytest.mark.parametrize("make, args", CASES, ids=CASE_IDS)
+def test_example_from_a_validated_h1_validates_no_part(monkeypatch, make, args):
+    # the torsion and free parts are cut from h1, which is already valid
+    e = make(*args)
+    counts = _count_calls(monkeypatch, cpmod, ("new_cp_module",))
+    replace(e, h1=e.h1)
+    assert counts["new_cp_module"] == 0
+
+
 def _count_snf(monkeypatch):
     """Counters of the snf calls made inside intlinalg and from cpmod."""
     return (_count_calls(monkeypatch, intlinalg, ("snf",)),

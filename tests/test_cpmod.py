@@ -22,7 +22,6 @@ from cptate import (
     from_invariants,
     herbrand_check,
     new_cp_module,
-    norm_operator,
     sharp_dual,
     star_dual,
     tate,
@@ -218,12 +217,36 @@ def test_norm_operator_identities():
     for p in (2, 3, 5):
         for m in (free_regular_module(p), augmentation_module(p),
                   trivial_block(p, p * p), perm_block(p, 4)):
-            n = norm_operator(m)
+            n = m.norm
             tau = m.tau
             assert tau @ n == n
             assert n @ tau == n
             # transfer composed with itself is multiplication by p
             assert n @ n == p * n
+
+
+def test_norm_is_the_plain_sum():
+    lattices = [build(p) for p in PRIMES
+                for build in (free_regular_module, augmentation_module, trivial_free_module)]
+    for m in finite_catalog() + lattices:
+        power = total = IntMatrix.identity(m.ambient_rank)
+        for _ in range(m.p - 1):
+            power = m.tau @ power
+            total = total + power
+        assert m.norm == total
+
+
+def _assert_parts_validate(m):
+    # tor_module and free_module skip validation; the validated constructor
+    # must accept each part and rebuild the same module and norm
+    for part in (tor_module(m), free_module(m)):
+        again = new_cp_module(part.p, part.group.relations, part.tau)
+        assert again == part and again.norm == part.norm
+
+
+def test_catalog_parts_validate():
+    for m in finite_catalog():
+        _assert_parts_validate(m)
 
 
 def test_fixed_points_known():
@@ -279,6 +302,7 @@ def test_tor_and_free_parts_survive_basis_change(seed, p, lattice):
     block = rng.choice(base_blocks(p))
     m = direct_sum(block, lattice(p))
     c = conjugate(m, random_unimodular(rng, m.ambient_rank))
+    _assert_parts_validate(c)
     tor = tor_module(c)
     assert tor.group == block.group
     assert (tate(tor).dim_h0, tate(tor).dim_h1) == (tate(block).dim_h0, tate(block).dim_h1)
