@@ -15,6 +15,8 @@ rank (the Herbrand quotient is trivial).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
+from operator import mul
 
 from .intlinalg import (
     FgAbGroup,
@@ -123,15 +125,51 @@ def _norm(tau: IntMatrix, p: int) -> IntMatrix:
     return n
 
 
+# When N's entries can be long, tau^p = 1 is first tested modulo this prime,
+# in O(log p) products of residues, so a tau of the wrong order is rejected
+# before N is formed over Z. The entries of N are below (m c)^p, c the
+# largest |entry| of tau; under _SHORT_NORM_BITS bits, forming N by
+# doubling costs about as much as the residue test, so it is skipped.
+_RESIDUE_PRIME = 2**31 - 1
+_SHORT_NORM_BITS = 4096
+
+
+def _order_fails_mod(rel_dec, tau: IntMatrix, p: int) -> bool:
+    """True when some column of tau^p - 1 lies outside L + l Z^m, L the
+    relations' lattice and l = _RESIDUE_PRIME, so that tau^p is not 1 on
+    the group. With u L v = diag(d), x lies in L + l Z^m iff (u x)_i is 0
+    modulo gcd(d_i, l) below the rank and modulo l beyond it."""
+    m, ell = tau.rows, _RESIDUE_PRIME
+
+    def product(a, b):
+        cols = list(zip(*b))
+        return [[sum(map(mul, r, c)) % ell for c in cols] for r in a]
+
+    base = [[x % ell for x in tau.row(i)] for i in range(m)]
+    power = base
+    for bit in bin(p)[3:]:
+        power = product(power, power)
+        if bit == "1":
+            power = product(power, base)
+    for i in range(m):
+        power[i][i] -= 1
+    r = rel_dec.rank
+    mods = [gcd(d, ell) for d in rel_dec.diagonal[:r]] + [ell] * (m - r)
+    return any(x % g for row, g in zip(product(rel_dec.u.to_rows(), power), mods)
+               for x in row)
+
+
 def new_cp_module(p: int, relations: IntMatrix, tau: IntMatrix) -> CpModule:
     """Validated constructor.
 
     Checks, in order: p prime, shapes consistent, tau preserves the
     relation lattice, tau induces an automorphism (the lattice spanned by
     tau's columns together with the relations is all of Z^m), and
-    tau^p = 1 on the group, tested as S N = tau^p - 1 = 0 there (tau^(p-1)
-    inverts a tau of order p, so the invertibility test only names the
-    error once the order test fails).
+    tau^p = 1 on the group, tested modulo a prime first when N's entries
+    can be long (see _order_fails_mod) and then exactly as
+    S N = tau^p - 1 = 0 there
+    (tau^(p-1) inverts a tau of order p, so the invertibility test only
+    names the error once the order test fails).
     """
     if not is_prime(p):
         raise NotPrime(f"p = {p} is not prime")
@@ -142,8 +180,9 @@ def new_cp_module(p: int, relations: IntMatrix, tau: IntMatrix) -> CpModule:
     group = _cokernel_of(rel_dec)
     if _first_outside(rel_dec, rel_dec.u @ (tau @ relations)) is not None:
         raise TauDoesNotDescend("tau does not map the relation lattice into itself")
-    norm = _norm(tau, p)
-    if _first_outside(rel_dec, rel_dec.u @ (tau @ norm - norm)) is not None:
+    long_norm = p * (m * max(map(abs, tau.entries), default=0)).bit_length() > _SHORT_NORM_BITS
+    norm = None if long_norm and _order_fails_mod(rel_dec, tau, p) else _norm(tau, p)
+    if norm is None or _first_outside(rel_dec, rel_dec.u @ (tau @ norm - norm)) is not None:
         # surjectivity on a f.g. group is equivalent to invertibility
         if not cokernel(tau.hstack(relations)).is_trivial:
             raise TauNotInvertible("tau is not surjective on the group")

@@ -33,6 +33,12 @@ class MalformedRecord(ValueError):
     """A cyclic-cubic input record fails validation."""
 
 
+class ReductionLimit(RuntimeError):
+    """A reduction loop hit its step cap: indefinite form reduction, or
+    the continued fraction of sqrt(d) in the Pell solver. The message
+    names the discriminant or d."""
+
+
 # -- elementary number theory ----------------------------------------------
 
 
@@ -147,9 +153,11 @@ class RamificationData:
     s: int
 
 
+@lru_cache(maxsize=1024)
 def ramification(d: int) -> RamificationData:
     """Ramified primes of Q(sqrt(d))/Q: divisors of the discriminant, plus
-    the archimedean place exactly when the field is imaginary."""
+    the archimedean place exactly when the field is imaginary. Memoised,
+    since every check of a field reads it."""
     field = quadratic_field(d)
     finite = tuple(sorted(factorize(field.discriminant)))
     s_inf = 1 if d < 0 else 0
@@ -259,7 +267,7 @@ def _indefinite_reduce(f, D, sq):
         if _is_reduced_indefinite(f, D):
             return f
         f = _rho(f, D, sq)
-    raise RuntimeError(f"reduction did not terminate for {f}, D={D}")
+    raise ReductionLimit(f"D = {D}: form {f} not reduced after 10000 steps")
 
 
 def _reduced_forms_positive(D: int) -> list:
@@ -331,14 +339,29 @@ class ClassData:
     unit_h1_dim: int           # dim H^1(C_2, units/torsion)
 
 
-def _class_record(d, D, inv, h, narrow_inv, narrow_h, neg_trivial) -> ClassData:
-    """The field's record, from one class-group module and its cohomology."""
+@lru_cache(maxsize=1024)
+def _class_cohomology(inv: tuple) -> tuple:
+    """(dim H^0, dim H^1, fixed free rank, fixed invariant factors) of the
+    class module with invariant factors inv. Inversion is -1 on every
+    presentation, so inv fixes the module up to isomorphism and fields
+    with one class-group structure share the entry."""
     cl = _class_module(inv)
     co = tate(cl)
     fixed = fixed_points(cl)
+    return co.dim_h0, co.dim_h1, fixed.free_rank, fixed.invariant_factors
+
+
+@lru_cache(maxsize=2)
+def _unit_h1_dim(real: bool) -> int:
+    """dim H^1(C_2, units/torsion). The unit module depends only on the
+    sign of d, so Q(sqrt(2)) and Q(sqrt(-1)) stand for every field."""
+    return tate(unit_module(2 if real else -1)).dim_h1
+
+
+def _class_record(d, D, inv, h, narrow_inv, narrow_h, neg_trivial) -> ClassData:
+    """The field's record; its cohomology is looked up by isomorphism type."""
     return ClassData(d, D, inv, h, narrow_inv, narrow_h, neg_trivial,
-                     co.dim_h0, co.dim_h1, fixed.free_rank, fixed.invariant_factors,
-                     tate(unit_module(d)).dim_h1)
+                     *_class_cohomology(inv), _unit_h1_dim(d > 0))
 
 
 @lru_cache(maxsize=1024)
@@ -470,7 +493,8 @@ def _pell4(d: int):
         a = (P + sq) // Q
         p0, p1 = p1, a * p1 + p0
         q0, q1 = q1, a * q1 + q0
-    raise RuntimeError(f"continued fraction of sqrt({d}) did not close")
+    raise ReductionLimit(f"d = {d}: continued fraction of sqrt(d) did not close "
+                         "in 10^6 steps")
 
 
 @lru_cache(maxsize=4096)

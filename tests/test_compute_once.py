@@ -1,5 +1,6 @@
 """Each field and each manifold example derives its cohomology once; the
-checks only read the stored record."""
+checks only read the stored record. Fields share the cohomology of their
+class module by isomorphism type, and of their unit module by sign."""
 
 from collections import Counter
 from dataclasses import fields, replace
@@ -25,15 +26,48 @@ def _count_calls(monkeypatch, module, names):
     return counts
 
 
+def _clear_caches():
+    """Empty every memo cache of the program, as perfbench does between
+    passes, so counts start cold."""
+    for module in (intlinalg, cpmod, numfield, mfld):
+        for obj in vars(module).values():
+            if callable(getattr(obj, "cache_clear", None)):
+                obj.cache_clear()
+
+
 @pytest.mark.parametrize("d", [10, -21])
 def test_field_report_computes_cohomology_once(monkeypatch, d):
-    numfield._class_data.cache_clear()
+    _clear_caches()
     counts = _count_calls(monkeypatch, numfield, ("tate", "fixed_points"))
     numfield.field_report(d)
     # one tate each for the class group and the unit module
     assert counts == {"tate": 2, "fixed_points": 1}
     numfield.field_report(d)
     assert counts == {"tate": 2, "fixed_points": 1}
+
+
+def test_fields_share_cohomology_by_isomorphism_type(monkeypatch):
+    # all four have Cl = Z/2; the unit module changes only with the sign
+    _clear_caches()
+    counts = _count_calls(monkeypatch, numfield, ("tate",))
+    for d, calls in [(-5, 2), (-6, 0), (10, 1), (15, 0)]:
+        before = counts["tate"]
+        report = numfield.field_report(d)
+        assert report.class_data.invariants == (2,)
+        assert counts["tate"] - before == calls, f"d = {d}"
+
+
+@pytest.mark.parametrize("d, calls", [(-21, 3), (10, 4)])
+def test_field_report_factors_d_a_bounded_number_of_times(monkeypatch, d, calls):
+    # once the unit module of each sign is cached, a new field factors d
+    # for its class group and its ramification, D for its ramification
+    # and, when d > 0, d again for its fundamental unit
+    _clear_caches()
+    numfield.field_report(-1)
+    numfield.field_report(2)
+    counts = _count_calls(monkeypatch, numfield, ("factorize",))
+    numfield.field_report(d)
+    assert counts["factorize"] == calls
 
 
 @pytest.mark.parametrize("make, args", CASES, ids=CASE_IDS)
@@ -63,7 +97,7 @@ def _count_snf(monkeypatch):
 @pytest.mark.parametrize("d, calls", [(10, 19), (-21, 18)])
 def test_field_report_smith_form_count(monkeypatch, d, calls):
     # a work counter, not a time gate: a redundant Smith form raises it
-    numfield._class_data.cache_clear()
+    _clear_caches()
     counts = _count_snf(monkeypatch)
     numfield.field_report(d)
     assert sum(c["snf"] for c in counts) == calls

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,8 @@ from cptate import (
     TauOrderNotDividingP,
     augmentation_module,
     classify_free,
+    cokernel,
+    cpmod,
     direct_sum,
     fixed_points,
     free_abelian,
@@ -21,6 +24,7 @@ from cptate import (
     free_regular_module,
     from_invariants,
     herbrand_check,
+    lattice_member,
     new_cp_module,
     sharp_dual,
     star_dual,
@@ -74,6 +78,70 @@ def test_rejects_tau_of_wrong_order():
         new_cp_module(2, IntMatrix.zeros(2, 0), rot)
     with pytest.raises(TauOrderNotDividingP):
         new_cp_module(3, IntMatrix.zeros(2, 0), -IntMatrix.identity(2))
+
+
+def test_identity_modulo_the_residue_prime_is_still_tested_exactly():
+    # tau^p = [[1, p l], [0, 1]] is 1 modulo l but not over Z; p is large
+    # enough that the residue test runs
+    ell = cpmod._RESIDUE_PRIME
+    shear = IntMatrix.from_rows([[1, ell], [0, 1]])
+    with pytest.raises(TauOrderNotDividingP):
+        new_cp_module(10007, IntMatrix.zeros(2, 0), shear)
+
+
+def test_wrong_order_is_rejected_without_forming_the_norm(monkeypatch):
+    # over Z, N for p = 1000003 would have entries of about 10^6 bits
+    calls = []
+    monkeypatch.setattr(cpmod, "_norm", lambda *args: calls.append(args))
+    t0 = time.perf_counter()
+    with pytest.raises(TauOrderNotDividingP):
+        new_cp_module(1000003, IntMatrix.zeros(2, 0), IntMatrix.from_rows([[2, 1], [1, 1]]))
+    assert time.perf_counter() - t0 < 0.1
+    assert calls == []
+
+
+def _expected_error(p, rel, tau):
+    """The error new_cp_module must raise, by lattice membership of the
+    columns of tau rel and of tau^p - 1 formed directly; None if valid."""
+    def inside(mat):
+        return all(lattice_member(rel, mat.col(j)) is not None for j in range(mat.cols))
+
+    if not inside(tau @ rel):
+        return TauDoesNotDescend
+    if inside(tau.power(p) - IntMatrix.identity(tau.rows)):
+        return None
+    if not cokernel(tau.hstack(rel)).is_trivial:
+        return TauNotInvertible
+    return TauOrderNotDividingP
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_errors_on_random_specs_match_the_exact_tests(seed):
+    rng = random.Random(seed)
+    seen = set()
+    for _ in range(200):
+        # the residue test runs for the large primes only
+        p = rng.choice((2, 3, 5, 10007))
+        m = rng.randint(1, 3)
+        rel = IntMatrix.from_columns(
+            [[rng.randint(-3, 3) for _ in range(m)] for _ in range(rng.randint(0, m))], m)
+        if rng.random() < 0.5:
+            # a signed permutation, often of order dividing p
+            perm = rng.sample(range(m), m)
+            tau = IntMatrix.from_rows([[rng.choice((1, -1)) if j == perm[i] else 0
+                                        for j in range(m)] for i in range(m)])
+        else:
+            tau = IntMatrix.from_rows([[rng.randint(-2, 2) for _ in range(m)]
+                                       for _ in range(m)])
+        want = _expected_error(p, rel, tau)
+        seen.add(want)
+        try:
+            new_cp_module(p, rel, tau)
+        except (TauDoesNotDescend, TauNotInvertible, TauOrderNotDividingP) as err:
+            assert type(err) is want, (p, rel, tau)
+        else:
+            assert want is None, (p, rel, tau)
+    assert len(seen) == 4
 
 
 def test_rejects_shape_mismatch():

@@ -10,6 +10,7 @@ from cptate import (
     MalformedRecord,
     NotReal,
     NotSquareFree,
+    ReductionLimit,
     check_cor_lower_nf,
     check_lower_nf,
     check_upper_nf,
@@ -34,6 +35,7 @@ from cptate import (
     tate,
     unit_module,
 )
+from cptate import numfield
 from cptate.numfield import (
     HEEGNER_DS,
     _class_data,
@@ -227,6 +229,43 @@ def test_h0_of_class_group_is_two_torsion():
         assert tate(class_group(d)).dim_h0 == two_rank, f"d = {d}"
 
 
+def _trial_primes(n):
+    """The distinct primes of |n| by plain trial division, and whether a
+    square divides n; shares no code with numfield.factorize."""
+    n, primes, square = abs(n), [], False
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            n //= q
+            square = square or n % q == 0
+            while n % q == 0:
+                n //= q
+            primes.append(q)
+        q += 1
+    return primes + ([n] if n > 1 else []), square
+
+
+def _genus_two_rank(d):
+    # Gauss's genus theory: the narrow class group has 2-rank omega(D) - 1,
+    # and it is the class group when d < 0; for d > 0 the class group has
+    # one 2 fewer exactly when a prime = 3 (mod 4) divides D
+    primes, _ = _trial_primes(d if d % 4 == 1 else 4 * d)
+    if d > 0 and any(q % 4 == 3 for q in primes):
+        return len(primes) - 2
+    return len(primes) - 1
+
+
+def test_class_cohomology_against_genus_theory_near_a_million():
+    ts = [t for t in range(10**6 + 1, 10**6 + 40) if not _trial_primes(t)[1]][:8]
+    assert len(ts) == 8
+    for d in [s * t for t in ts for s in (1, -1)]:
+        rank = _genus_two_rank(d)
+        data = _class_data(d)
+        assert data.dim_h0_cl == data.dim_h1_cl == rank, f"d = {d}"
+        assert data.fixed_free_rank == 0
+        assert data.fixed_invariants == (2,) * rank, f"d = {d}"
+
+
 def test_class_group_structure_against_solution_counts():
     # the number of x with x^n = 1 for every n | h determines a finite
     # abelian group; here it is counted by plain repeated composition, and
@@ -355,6 +394,17 @@ def test_unit_pins():
     assert (u61.x, u61.y, u61.norm) == (17, 5, -1)
     with pytest.raises(NotReal):
         fundamental_unit(-2)
+
+
+def test_reduction_cap_raises_a_typed_error_naming_d(monkeypatch):
+    # a rho that never moves leaves an unreduced form unreduced
+    D = 4 * 10
+    f = (3, -2, -3)
+    assert not numfield._is_reduced_indefinite(f, D)
+    monkeypatch.setattr(numfield, "_rho", lambda f, D, sq: f)
+    with pytest.raises(ReductionLimit, match="D = 40"):
+        _indefinite_reduce(f, D, math.isqrt(D))
+    assert issubclass(ReductionLimit, RuntimeError)
 
 
 def test_unit_h1_dims():
