@@ -167,9 +167,8 @@ def new_cp_module(p: int, relations: IntMatrix, tau: IntMatrix) -> CpModule:
     tau's columns together with the relations is all of Z^m), and
     tau^p = 1 on the group, tested modulo a prime first when N's entries
     can be long (see _order_fails_mod) and then exactly as
-    S N = tau^p - 1 = 0 there
-    (tau^(p-1) inverts a tau of order p, so the invertibility test only
-    names the error once the order test fails).
+    S N = tau^p - 1 = 0 there (tau^(p-1) inverts a tau of order p, so the
+    invertibility test only names the error once the order test fails).
     """
     if not is_prime(p):
         raise NotPrime(f"p = {p} is not prime")
@@ -180,9 +179,10 @@ def new_cp_module(p: int, relations: IntMatrix, tau: IntMatrix) -> CpModule:
     group = _cokernel_of(rel_dec)
     if _first_outside(rel_dec, rel_dec.u @ (tau @ relations)) is not None:
         raise TauDoesNotDescend("tau does not map the relation lattice into itself")
-    long_norm = p * (m * max(map(abs, tau.entries), default=0)).bit_length() > _SHORT_NORM_BITS
-    norm = None if long_norm and _order_fails_mod(rel_dec, tau, p) else _norm(tau, p)
-    if norm is None or _first_outside(rel_dec, rel_dec.u @ (tau @ norm - norm)) is not None:
+    norm_bits = p * (m * max(map(abs, tau.entries), default=0)).bit_length()
+    wrong_order = norm_bits > _SHORT_NORM_BITS and _order_fails_mod(rel_dec, tau, p)
+    norm = None if wrong_order else _norm(tau, p)
+    if wrong_order or _first_outside(rel_dec, rel_dec.u @ (tau @ norm - norm)) is not None:
         # surjectivity on a f.g. group is equivalent to invertibility
         if not cokernel(tau.hstack(relations)).is_trivial:
             raise TauNotInvertible("tau is not surjective on the group")
