@@ -125,21 +125,24 @@ def _norm(tau: IntMatrix, p: int) -> IntMatrix:
     return n
 
 
-# When N's entries can be long, tau^p = 1 is first tested modulo this prime,
-# in O(log p) products of residues, so a tau of the wrong order is rejected
-# before N is formed over Z. The entries of N are below (m c)^p, c the
-# largest |entry| of tau; under _SHORT_NORM_BITS bits, forming N by
-# doubling costs about as much as the residue test, so it is skipped.
+# When N's entries can be long, tau^p = 1 is first tested on residues, in
+# O(log p) products, so a tau of the wrong order is rejected before N is
+# formed over Z. The entries of N are below (m c)^p, c the largest |entry|
+# of tau; under _SHORT_NORM_BITS bits, forming N by doubling costs about as
+# much as the residue test, so it is skipped.
 _RESIDUE_PRIME = 2**31 - 1
 _SHORT_NORM_BITS = 4096
 
 
 def _order_fails_mod(rel_dec, tau: IntMatrix, p: int) -> bool:
     """True when some column of tau^p - 1 lies outside L + l Z^m, L the
-    relations' lattice and l = _RESIDUE_PRIME, so that tau^p is not 1 on
-    the group. With u L v = diag(d), x lies in L + l Z^m iff (u x)_i is 0
-    modulo gcd(d_i, l) below the rank and modulo l beyond it."""
-    m, ell = tau.rows, _RESIDUE_PRIME
+    relations' lattice, so that tau^p is not 1 on the group. l is the
+    group's exponent e when the group is finite: then e Z^m lies in L and
+    the test is exact. Otherwise l = _RESIDUE_PRIME. With u L v = diag(d),
+    x lies in L + l Z^m iff (u x)_i is 0 modulo gcd(d_i, l) below the rank
+    and modulo l beyond it."""
+    m, rank = tau.rows, rel_dec.rank
+    ell = rel_dec.diagonal[rank - 1] if rank == m else _RESIDUE_PRIME
 
     def product(a, b):
         cols = list(zip(*b))
@@ -153,8 +156,7 @@ def _order_fails_mod(rel_dec, tau: IntMatrix, p: int) -> bool:
             power = product(power, base)
     for i in range(m):
         power[i][i] -= 1
-    r = rel_dec.rank
-    mods = [gcd(d, ell) for d in rel_dec.diagonal[:r]] + [ell] * (m - r)
+    mods = [gcd(d, ell) for d in rel_dec.diagonal[:rank]] + [ell] * (m - rank)
     return any(x % g for row, g in zip(product(rel_dec.u.to_rows(), power), mods)
                for x in row)
 
@@ -165,8 +167,8 @@ def new_cp_module(p: int, relations: IntMatrix, tau: IntMatrix) -> CpModule:
     Checks, in order: p prime, shapes consistent, tau preserves the
     relation lattice, tau induces an automorphism (the lattice spanned by
     tau's columns together with the relations is all of Z^m), and
-    tau^p = 1 on the group, tested modulo a prime first when N's entries
-    can be long (see _order_fails_mod) and then exactly as
+    tau^p = 1 on the group, tested on residues first when N's entries can
+    be long (see _order_fails_mod) and then exactly as
     S N = tau^p - 1 = 0 there (tau^(p-1) inverts a tau of order p, so the
     invertibility test only names the error once the order test fails).
     """
@@ -284,18 +286,21 @@ def _block(mat: IntMatrix, rows: range, cols: range) -> IntMatrix:
     return IntMatrix.from_rows([[mat.at(i, j) for j in cols] for i in rows], cols=len(cols))
 
 
-def free_module(module: CpModule) -> CpModule:
-    """The torsion-free quotient G / G_tor with the induced action."""
-    dec, tau, norm = _smith_conjugate(module)
+def free_module(module: CpModule, conjugated=None) -> CpModule:
+    """The torsion-free quotient G / G_tor with the induced action.
+    conjugated is _smith_conjugate(module), passed by a caller that takes
+    both parts, so the conjugation is formed once."""
+    dec, tau, norm = conjugated or _smith_conjugate(module)
     free = range(dec.rank, module.ambient_rank)
     return CpModule(module.p, cokernel(IntMatrix.zeros(len(free), 0)),
                     _block(tau, free, free), _block(norm, free, free))
 
 
-def tor_module(module: CpModule) -> CpModule:
+def tor_module(module: CpModule, conjugated=None) -> CpModule:
     """The torsion subgroup with the restricted action, presented by the
-    Smith diagonal of the relations (see _smith_conjugate)."""
-    dec, tau, norm = _smith_conjugate(module)
+    Smith diagonal of the relations (see _smith_conjugate); conjugated as
+    for free_module."""
+    dec, tau, norm = conjugated or _smith_conjugate(module)
     tor, free = range(dec.rank), range(dec.rank, module.ambient_rank)
     if not _block(tau, free, tor).is_zero():
         raise CpModuleError("torsion subgroup is not tau-stable; validation broken")

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 from .cpmod import (
     CpModule,
+    _smith_conjugate,
     augmentation_module,
     direct_sum,
     fixed_points,
@@ -49,8 +50,9 @@ class ManifoldExample:
         if self.s < 0:
             raise ValueError("branch count must be >= 0")
         # both derived submodules must exist; raises if h1 is broken
-        tor = tor_module(self.h1)
-        free = free_module(self.h1)
+        conjugated = _smith_conjugate(self.h1)
+        tor = tor_module(self.h1, conjugated)
+        free = free_module(self.h1, conjugated)
         object.__setattr__(self, "dim_h0_h1", tate(self.h1).dim_h0)
         object.__setattr__(self, "dim_h0_tor", tate(tor).dim_h0)
         object.__setattr__(self, "dim_h1_free", tate(free).dim_h1)

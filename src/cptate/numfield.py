@@ -3,6 +3,8 @@
 Class groups are computed through binary quadratic forms of the field
 discriminant: reduced positive-definite forms under Gauss composition for
 d < 0, and cycles of reduced indefinite forms (narrow classes) for d > 0.
+The reduced forms are listed by first coefficient a, from the square roots
+of D modulo 4a, in O~(sqrt|D|) steps.
 The structure comes from one relation lattice on those classes through
 `cokernel`; the wide class group is the narrow group modulo the class of
 (-1, b0, *), one more relation column. Fundamental units come from the
@@ -225,23 +227,6 @@ def _definite_reduce(f, D):
     return (a, b, c)
 
 
-def _reduced_forms_negative(D: int) -> list:
-    forms = []
-    b = D & 1
-    while 3 * b * b <= -D:
-        m = (b * b - D) // 4
-        a = max(b, 1)
-        while a * a <= m:
-            if m % a == 0:
-                c = m // a
-                forms.append((a, b, c))
-                if 0 < b < a < c:
-                    forms.append((a, -b, c))
-            a += 1
-        b += 2
-    return sorted(forms)
-
-
 def _is_reduced_indefinite(f, D) -> bool:
     a, b, c = f
     if b <= 0 or b * b >= D:
@@ -270,24 +255,128 @@ def _indefinite_reduce(f, D, sq):
     raise ReductionLimit(f"D = {D}: form {f} not reduced after 10000 steps")
 
 
-def _reduced_forms_positive(D: int) -> list:
-    sq = isqrt(D)
+def _sqrt_mod_prime(n: int, p: int) -> int | None:
+    """A square root of n modulo the odd prime p not dividing n, by
+    Tonelli-Shanks, or None when n is not a square modulo p."""
+    n %= p
+    if p % 4 == 3:
+        r = pow(n, (p + 1) // 4, p)
+        return r if r * r % p == n else None
+    if pow(n, (p - 1) // 2, p) != 1:
+        return None
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return r
+
+
+def _roots_mod_4a(D: int, bound: int):
+    """Yield (a, roots) for each a <= bound that has roots: every r mod 2a
+    with r^2 = D (mod 4a), which is all of them, since (r + 2a)^2 = r^2
+    (mod 4a).
+
+    With a = 2^k o, o odd, the roots are the CRT combination of those
+    modulo 2^(k+1) and those modulo o. The roots modulo o are built
+    multiplicatively over a smallest-prime-factor sieve: at p^e || o with p
+    prime to D, Tonelli-Shanks at p, Newton-lifted to p^e; an odd p that
+    divides the fundamental discriminant D divides it once, so it leaves
+    the root 0 when e = 1 and none when e > 1. The 2-adic roots are in
+    closed form. For odd D, k = 0 gives the odd r, and k > 0 needs
+    D = 1 (mod 8) and gives +-s, s a 2-adic square root of D lifted one
+    bit at a time. For D = 4d', 4 does not divide a, and r is even when
+    k = 0 and 2 (d' mod 2) modulo 4 when k = 1.
+    """
+    if D % 2:
+        two = [(2, (1,))]
+        if D % 8 == 1:
+            s, m = 1, 4  # s^2 = D (mod 2m)
+            while m <= 2 * bound:
+                two.append((m, (s, m - s)))
+                if (s * s - D) % (4 * m):
+                    s += m
+                m *= 2
+    else:
+        two = [(2, (0,)), (4, (2 * (D // 4 % 2),))]
+    spf = list(range(bound + 1))
+    for p in range(3, isqrt(bound) + 1, 2):
+        if spf[p] == p:
+            for n in range(p * p, bound + 1, 2 * p):
+                if spf[n] == n:
+                    spf[n] = p
+    odd = [()] * (bound + 1)  # odd[o]: the roots of D modulo odd o
+    for o in range(1, bound + 1, 2):
+        if o == 1:
+            roots = (0,)
+        else:
+            p = q = spf[o]
+            while o % (q * p) == 0:
+                q *= p
+            rest = o // q
+            if rest > 1:
+                r1, r2 = odd[q], odd[rest]
+                if not (r1 and r2):
+                    continue
+                inv = pow(q, -1, rest)
+                roots = [x + q * ((y - x) * inv % rest) for x in r1 for y in r2]
+            elif D % p == 0:
+                if q > p:
+                    continue
+                roots = (0,)
+            else:
+                t = _sqrt_mod_prime(D, p)
+                if t is None:
+                    continue
+                while (t * t - D) % q:
+                    t = (t - (t * t - D) * pow(2 * t, -1, q)) % q
+                roots = (t, q - t)
+            odd[o] = roots
+        for m, two_roots in two:
+            a = o * m // 2
+            if a > bound:
+                break
+            inv = pow(o, -1, m)
+            yield a, [r + o * ((u - r) * inv % m) for u in two_roots for r in roots]
+
+
+def _reduced_forms(D: int) -> list:
+    """The reduced forms of discriminant D, sorted, from the square roots
+    of D modulo 4a for each first coefficient a.
+
+    D < 0: -a < b <= a <= c, with b >= 0 when a == c; 3a^2 <= |D| bounds a.
+    D > 0: 0 < b < sqrt(D) and |sqrt(D) - 2|a|| < b, so a <= isqrt(D), and
+    for a > 0 the b of one root class form an interval shorter than 2a:
+    at most one b per root. Each (a, b, c) comes with (-a, b, -c).
+    """
     forms = []
-    b = 2 if D % 2 == 0 else 1
-    while b <= sq:
-        m4 = D - b * b
-        if m4 % 4 == 0:
-            m = m4 // 4
-            a = 1
-            while a * a <= m:
-                if m % a == 0:
-                    for aa in {a, m // a}:
-                        if _is_reduced_indefinite((aa, b, -(m // aa)), D):
-                            forms.append((aa, b, -(m // aa)))
-                            forms.append((-aa, b, m // aa))
-                a += 1
-        b += 2
-    return sorted(set(forms))
+    if D < 0:
+        for a, roots in _roots_mod_4a(D, isqrt(-D // 3)):
+            for r in roots:
+                b = r if r <= a else r - 2 * a
+                c = (b * b - D) // (4 * a)
+                if c > a or (c == a and b >= 0):
+                    forms.append((a, b, c))
+    else:
+        sq = isqrt(D)
+        for a, roots in _roots_mod_4a(D, sq):
+            # b > |sqrt(D) - 2a| in integers, sqrt(D) being irrational
+            lo = max(sq - 2 * a + 1, 2 * a - sq)
+            for r in roots:
+                b = lo + (r - lo) % (2 * a)
+                if b <= sq:
+                    c = (b * b - D) // (4 * a)
+                    forms += [(a, b, c), (-a, b, -c)]
+    return sorted(forms)
 
 
 # -- generic structure of a finite abelian group given by a black box -------
@@ -375,7 +464,7 @@ def _class_data(d: int) -> ClassData:
     class's coordinates as one more column."""
     D = quadratic_field(d).discriminant
     if d < 0:
-        reps = _reduced_forms_negative(D)
+        reps = _reduced_forms(D)
 
         def cls_of(form):
             return _definite_reduce(form, D)
@@ -383,7 +472,7 @@ def _class_data(d: int) -> ClassData:
         sq = isqrt(D)
         cycle_of = {}
         reps = []
-        for f in _reduced_forms_positive(D):
+        for f in _reduced_forms(D):
             if f in cycle_of:
                 continue
             orbit = [f]

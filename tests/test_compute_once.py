@@ -104,7 +104,7 @@ def test_field_report_smith_form_count(monkeypatch, d, calls):
 
 
 @pytest.mark.parametrize("make, args, calls",
-                         [(mfld.example_lens, (5,), 29), (mfld.example_hempel, (3, 4), 28)],
+                         [(mfld.example_lens, (5,), 28), (mfld.example_hempel, (3, 4), 27)],
                          ids=CASE_IDS)
 def test_example_smith_form_count(monkeypatch, make, args, calls):
     counts = _count_snf(monkeypatch)

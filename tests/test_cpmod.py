@@ -90,13 +90,17 @@ def test_identity_modulo_the_residue_prime_is_still_tested_exactly():
 
 
 def test_wrong_order_is_rejected_without_forming_the_norm(monkeypatch):
-    # over Z, N for p = 1000003 would have entries of about 10^6 bits
+    # over Z, N for p = 1000003 would have entries of about 10^6 bits; on
+    # (Z/5)^2 the residues modulo the exponent 5 decide, and 2^31 - 1 is
+    # prime to 5
     calls = []
     monkeypatch.setattr(cpmod, "_norm", lambda *args: calls.append(args))
-    t0 = time.perf_counter()
-    with pytest.raises(TauOrderNotDividingP):
-        new_cp_module(1000003, IntMatrix.zeros(2, 0), IntMatrix.from_rows([[2, 1], [1, 1]]))
-    assert time.perf_counter() - t0 < 0.1
+    tau = IntMatrix.from_rows([[2, 1], [1, 1]])
+    for rel in (IntMatrix.zeros(2, 0), IntMatrix.diagonal([5, 5])):
+        t0 = time.perf_counter()
+        with pytest.raises(TauOrderNotDividingP):
+            new_cp_module(1000003, rel, tau)
+        assert time.perf_counter() - t0 < 0.1
     assert calls == []
 
 

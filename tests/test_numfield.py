@@ -43,8 +43,7 @@ from cptate.numfield import (
     _definite_reduce,
     _indefinite_reduce,
     _principal_form,
-    _reduced_forms_negative,
-    _reduced_forms_positive,
+    _reduced_forms,
     _relation_lattice,
     _rho,
     factorize,
@@ -211,6 +210,44 @@ def test_class_numbers_against_dirichlet_formula():
         assert class_number(d) == dirichlet_h(D), f"d = {d}"
 
 
+def sieved_dirichlet_h(D):
+    """h(D) for a fundamental D < -4 from h = (2 - chi(2))^-1 times the sum
+    of chi(a) over 0 < a < |D|/2, chi = (D/.). chi is completely
+    multiplicative, so it is sieved from its values at primes (Euler's
+    criterion at odd p) over a smallest-prime-factor table; shares no code
+    with numfield."""
+    n = -D // 2 + 1
+    spf = list(range(n))
+    for p in range(math.isqrt(n - 1), 1, -1):
+        if all(p % q for q in range(2, math.isqrt(p) + 1)):
+            spf[p * p::p] = [p] * len(range(p * p, n, p))
+    chi2 = 0 if D % 2 == 0 else (1 if D % 8 in (1, 7) else -1)
+    chi = [0, 1] + [0] * (n - 2)
+    for a in range(2, n):
+        p = spf[a]
+        if p < a:
+            chi[a] = chi[p] * chi[a // p]
+        elif p == 2:
+            chi[a] = chi2
+        else:
+            e = pow(D, (p - 1) // 2, p)
+            chi[a] = 0 if e == 0 else (1 if e == 1 else -1)
+    h, r = divmod(sum(chi), 2 - chi2)
+    assert r == 0
+    return h
+
+
+def test_class_numbers_against_sieved_dirichlet_near_a_million():
+    for d in squarefree_range(-300, -5):
+        D = quadratic_field(d).discriminant
+        assert sieved_dirichlet_h(D) == dirichlet_h(D), f"d = {d}"
+    # -t = 1 (mod 4), so D = -t and the sum runs over a < t/2
+    ts = [t for t in range(10**6 + 3, 10**6 + 60, 4) if is_squarefree(t)][:4]
+    assert len(ts) == 4
+    for t in ts:
+        assert class_number(-t) == sieved_dirichlet_h(-t), f"d = {-t}"
+
+
 def test_class_group_module_is_inversion():
     cl = class_group(-21)
     assert cl.p == 2
@@ -272,7 +309,7 @@ def test_class_group_structure_against_solution_counts():
     # in a group with invariant factors f it is the product of gcd(n, f)
     for d in squarefree_range(-1000, -2):
         D = quadratic_field(d).discriminant
-        forms = _reduced_forms_negative(D)
+        forms = _reduced_forms(D)
         e = _definite_reduce(_principal_form(D), D)
         orders = []
         for f in forms:
@@ -299,7 +336,7 @@ def narrow_class_group(D):
             cycle.append(g)
         return min(cycle)
 
-    classes = sorted({cls(f) for f in _reduced_forms_positive(D)})
+    classes = sorted({cls(f) for f in _reduced_forms(D)})
     return classes, lambda x, y: cls(_compose_raw(x, y, D)), cls(_principal_form(D))
 
 
@@ -307,7 +344,7 @@ def narrow_class_group(D):
 def test_relation_lattice_coordinates_are_a_homomorphism(d):
     D = quadratic_field(d).discriminant
     if d < 0:
-        classes = _reduced_forms_negative(D)
+        classes = _reduced_forms(D)
         ident = _definite_reduce(_principal_form(D), D)
 
         def op(x, y):
@@ -327,7 +364,7 @@ def test_relation_lattice_coordinates_are_a_homomorphism(d):
 
 @pytest.mark.parametrize("D", [-23, -47, -56, -71, -84])
 def test_definite_composition_group_laws(D):
-    forms = _reduced_forms_negative(D)
+    forms = _reduced_forms(D)
     e = _definite_reduce(_principal_form(D), D)
     index = {f: i for i, f in enumerate(forms)}
 
@@ -354,7 +391,7 @@ def test_definite_composition_group_laws(D):
 def test_form_counts_match_class_numbers():
     for d in (-1, -5, -14, -23, -47, -71):
         D = quadratic_field(d).discriminant
-        assert len(_reduced_forms_negative(D)) == class_number(d)
+        assert len(_reduced_forms(D)) == class_number(d)
 
 
 # -- units ----------------------------------------------------------------------
