@@ -354,9 +354,10 @@ def _reduced_forms(D: int) -> list:
     of D modulo 4a for each first coefficient a.
 
     D < 0: -a < b <= a <= c, with b >= 0 when a == c; 3a^2 <= |D| bounds a.
-    D > 0: 0 < b < sqrt(D) and |sqrt(D) - 2|a|| < b, so a <= isqrt(D), and
-    for a > 0 the b of one root class form an interval shorter than 2a:
-    at most one b per root. Each (a, b, c) comes with (-a, b, -c).
+    D > 0: 0 < b < sqrt(D) and |sqrt(D) - 2|a|| < b, so a <= isqrt(D); for
+    a > 0 these b fill an interval of at most 2a integers, which each root
+    class modulo 2a meets at most once. Each (a, b, c) comes with
+    (-a, b, -c).
     """
     forms = []
     if D < 0:
