@@ -87,6 +87,17 @@ def _tally_field(payload: dict, summary: RunSummary) -> bool:
     return bad
 
 
+def _witness(d: int, name: str) -> str:
+    """For a failing gauss_identity, the unit's norm and a rational point
+    showing that -1 is a norm all the same; empty for other checks."""
+    point = numfield.gauss_witness(d) if name == "gauss_identity" else None
+    if point is None:
+        return ""
+    x, z = point
+    return (f"  unit norm {numfield.fundamental_unit(d).norm:+d}, "
+            f"yet {x}\u00b2 \u2212 {d}\u00b71\u00b2 = \u2212{z}\u00b2")
+
+
 def cmd_verify_quadratic(args) -> int:
     if args.d_min > args.d_max:
         print(f"error: empty range [{args.d_min}, {args.d_max}]", file=sys.stderr)
@@ -131,7 +142,7 @@ def cmd_verify_quadratic(args) -> int:
         print(json.dumps({"reports": reports, "summary": summary.to_dict()}, indent=2))
     else:
         for d, name, lhs, rhs in summary.counterexamples:
-            print(f"FAIL: d={d} {name}: lhs={lhs} rhs={rhs}")
+            print(f"FAIL: d={d} {name}: lhs={lhs} rhs={rhs}{_witness(d, name)}")
         print(f"checked {summary.fields_checked} fields ({summary.skipped} skipped), "
               f"{summary.checks_passed} checks passed, {summary.checks_failed} failed, "
               f"{summary.elapsed:.2f}s")

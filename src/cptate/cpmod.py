@@ -22,11 +22,13 @@ from .intlinalg import (
     FgAbGroup,
     IntMatrix,
     cokernel,
-    induced_subquotient,
     inverse_unimodular,
     snf,
+    _check_composite,
+    _check_descends,
     _cokernel_of,
     _first_outside,
+    _subquotient,
 )
 
 
@@ -89,7 +91,12 @@ class CpModule:
     presentations of one group can give non-isomorphic modules.
 
     norm is always N = 1 + tau + ... + tau^(p-1) of this (tau, p); it
-    is derived from them, so equality and hashing leave it out."""
+    is derived from them, so equality and hashing leave it out.
+
+    tate and fixed_points check once per call that their operators
+    descend to the group and that the composites they need vanish, and
+    then form each subquotient unchecked; a module built directly rather
+    than through new_cp_module still fails those checks."""
 
     p: int
     group: FgAbGroup
@@ -210,9 +217,16 @@ def tate(module: CpModule) -> TateCohomology:
     violation would mean the module failed validation, so it is treated
     as an internal error rather than a verdict.
     """
+    group, norm = module.group, module.norm
     s_op = module.tau - IntMatrix.identity(module.ambient_rank)
-    h0 = induced_subquotient(module.group, s_op, module.norm)
-    h1 = induced_subquotient(module.group, module.norm, s_op)
+    # the checks of induced_subquotient(group, S, N) and (group, N, S),
+    # each run once; N S stays, as a raw-built module's N need not commute
+    # with S
+    _check_descends(group, (("ker_of", s_op), ("im_of", norm)))
+    _check_composite(group, s_op, norm)
+    _check_composite(group, norm, s_op)
+    h0 = _subquotient(group, s_op, norm)
+    h1 = _subquotient(group, norm, s_op)
     for name, h in (("H^0", h0), ("H^1", h1)):
         if h.free_rank != 0 or any(f != module.p for f in h.invariant_factors):
             raise CpModuleError(
@@ -235,7 +249,9 @@ def fixed_points(module: CpModule) -> FgAbGroup:
     """The subgroup of elements fixed by tau, as an abstract group."""
     m = module.ambient_rank
     s_op = module.tau - IntMatrix.identity(m)
-    return induced_subquotient(module.group, s_op, IntMatrix.zeros(m, m))
+    # the zero denominator descends and S 0 = 0, so only S is checked
+    _check_descends(module.group, (("ker_of", s_op),))
+    return _subquotient(module.group, s_op, IntMatrix.zeros(m, m))
 
 
 @dataclass(frozen=True)

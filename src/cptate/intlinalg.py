@@ -13,6 +13,7 @@ All public values are immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import mul
 
 
@@ -34,7 +35,13 @@ class CompositeNotZero(ValueError):
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Immutable integer matrix, entries stored row-major."""
+    """Immutable integer matrix, entries stored row-major.
+
+    The public constructors check the shape and that every entry is an
+    int. Results this module builds from matrices that already passed
+    those checks (sums, products, transposes, Smith transforms) go
+    through _of, which skips them.
+    """
 
     rows: int
     cols: int
@@ -53,6 +60,17 @@ class IntMatrix:
                 raise TypeError(f"matrix entries must be ints, got {type(e).__name__}")
 
     # -- constructors -------------------------------------------------
+
+    @classmethod
+    def _of(cls, rows, cols, entries):
+        """Trusted constructor: entries must already be a tuple of
+        rows * cols ints, so __post_init__'s checks are skipped."""
+        m = object.__new__(cls)
+        fields = m.__dict__
+        fields["rows"] = rows
+        fields["cols"] = cols
+        fields["entries"] = entries
+        return m
 
     @classmethod
     def from_rows(cls, rows, *, cols=None):
@@ -81,11 +99,15 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+        if n < 0:
+            raise DimensionMismatch("negative dimensions")
+        return cls._of(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
     @classmethod
     def zeros(cls, rows, cols):
-        return cls(rows, cols, (0,) * (rows * cols))
+        if rows < 0 or cols < 0:
+            raise DimensionMismatch("negative dimensions")
+        return cls._of(rows, cols, (0,) * (rows * cols))
 
     @classmethod
     def diagonal(cls, diag, rows=None, cols=None):
@@ -137,17 +159,19 @@ class IntMatrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
+        n = self.cols
+        rows = [self.entries[i * n:(i + 1) * n] for i in range(self.rows)]
         cols = [other.entries[j::other.cols] for j in range(other.cols)]
-        return IntMatrix(self.rows, other.cols, tuple(
-            sum(map(mul, self.row(i), c)) for i in range(self.rows) for c in cols))
+        return IntMatrix._of(self.rows, other.cols, tuple(
+            sum(map(mul, r, c)) for r in rows for c in cols))
 
     def __add__(self, other):
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("shape mismatch in addition")
-        return IntMatrix(self.rows, self.cols,
-                         tuple(x + y for x, y in zip(self.entries, other.entries)))
+        return IntMatrix._of(self.rows, self.cols,
+                             tuple(x + y for x, y in zip(self.entries, other.entries)))
 
     def __sub__(self, other):
         if not isinstance(other, IntMatrix):
@@ -155,12 +179,12 @@ class IntMatrix:
         return self + (-other)
 
     def __neg__(self):
-        return IntMatrix(self.rows, self.cols, tuple(-x for x in self.entries))
+        return IntMatrix._of(self.rows, self.cols, tuple(-x for x in self.entries))
 
     def __mul__(self, scalar):
         if not isinstance(scalar, int):
             return NotImplemented
-        return IntMatrix(self.rows, self.cols, tuple(scalar * x for x in self.entries))
+        return IntMatrix._of(self.rows, self.cols, tuple(scalar * x for x in self.entries))
 
     __rmul__ = __mul__
 
@@ -169,10 +193,9 @@ class IntMatrix:
         vec = tuple(vec)
         if len(vec) != self.cols:
             raise DimensionMismatch(f"vector length {len(vec)} != cols {self.cols}")
-        return tuple(
-            sum(self.row(i)[j] * vec[j] for j in range(self.cols))
-            for i in range(self.rows)
-        )
+        n = self.cols
+        return tuple(sum(map(mul, self.entries[i * n:(i + 1) * n], vec))
+                     for i in range(self.rows))
 
     def power(self, k):
         if self.rows != self.cols:
@@ -189,8 +212,8 @@ class IntMatrix:
         return result
 
     def transpose(self):
-        return IntMatrix(self.cols, self.rows,
-                         tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)))
+        return IntMatrix._of(self.cols, self.rows, tuple(chain.from_iterable(
+            self.entries[j::self.cols] for j in range(self.cols))))
 
     def hstack(self, other):
         if self.rows != other.rows:
@@ -199,7 +222,7 @@ class IntMatrix:
         for i in range(self.rows):
             out.extend(self.row(i))
             out.extend(other.row(i))
-        return IntMatrix(self.rows, self.cols + other.cols, tuple(out))
+        return IntMatrix._of(self.rows, self.cols + other.cols, tuple(out))
 
     # -- predicates ---------------------------------------------------
 
@@ -256,8 +279,8 @@ def snf(a: IntMatrix) -> SmithDecomposition:
     """
     m, n = a.rows, a.cols
     s = a.to_rows()
-    u = IntMatrix.identity(m).to_rows()
-    v = IntMatrix.identity(n).to_rows()
+    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def row_swap(i, j):
         s[i], s[j] = s[j], s[i]
@@ -342,8 +365,8 @@ def snf(a: IntMatrix) -> SmithDecomposition:
         t += 1
 
     return SmithDecomposition(
-        u=IntMatrix.from_rows(u, cols=m),
-        v=IntMatrix.from_rows(v, cols=n),
+        u=IntMatrix._of(m, m, tuple(chain.from_iterable(u))),
+        v=IntMatrix._of(n, n, tuple(chain.from_iterable(v))),
         diagonal=tuple(s[i][i] for i in range(min(m, n))),
         source=a,
     )
@@ -516,35 +539,57 @@ def induced_subquotient(group: FgAbGroup, ker_of: IntMatrix, im_of: IntMatrix) -
     """Ker(ker_of) / Im(im_of) inside group = Z^m / L.
 
     Both matrices are endomorphisms of Z^m that must descend to group,
-    and im_of must land inside the kernel of ker_of there. The numerator
-    is the preimage lattice K = {x : ker_of x in L}, obtained by
-    projecting the kernel of [ker_of | relations] onto the first m
-    coordinates. With u @ K_gens @ v == diag(d), K has the basis
+    and im_of must land inside the kernel of ker_of there; both are
+    checked (_check_descends, _check_composite) before _subquotient
+    computes the result. A caller that forms several subquotients from
+    one pair of operators can run each check once and call the core.
+    """
+    _check_descends(group, (("ker_of", ker_of), ("im_of", im_of)))
+    _check_composite(group, ker_of, im_of)
+    return _subquotient(group, ker_of, im_of)
+
+
+def _check_descends(group: FgAbGroup, named) -> None:
+    """Raise unless every (name, mat) in named is an m x m matrix that
+    maps the relation lattice of group = Z^m / L into L. All shapes are
+    checked before any descent."""
+    m = group.ambient_rank
+    for name, mat in named:
+        if mat.rows != m or mat.cols != m:
+            raise DimensionMismatch(f"{name} must be {m}x{m}, got {mat.rows}x{mat.cols}")
+    rel_dec = group.smith
+    for name, mat in named:
+        j = _first_outside(rel_dec, rel_dec.u @ (mat @ group.relations))
+        if j is not None:
+            raise MatrixDoesNotDescend(
+                f"{name} maps relation column {j} outside the relation lattice")
+
+
+def _check_composite(group: FgAbGroup, ker_of: IntMatrix, im_of: IntMatrix) -> None:
+    """Raise unless ker_of @ im_of is zero on group."""
+    rel_dec = group.smith
+    j = _first_outside(rel_dec, rel_dec.u @ (ker_of @ im_of))
+    if j is not None:
+        raise CompositeNotZero(f"ker_of @ im_of is nonzero on the group (generator {j})")
+
+
+def _subquotient(group: FgAbGroup, ker_of: IntMatrix, im_of: IntMatrix) -> FgAbGroup:
+    """induced_subquotient without its checks, for operators that passed
+    them. The numerator is the preimage lattice K = {x : ker_of x in L},
+    obtained by projecting the kernel of [ker_of | relations] onto the
+    first m coordinates. With u @ K_gens @ v == diag(d), K has the basis
     d_i * u^-1 e_i (i < rank), so a denominator generator x (a column of
     im_of or of L) has the coordinates (u x)_i / d_i in it; the result
     is K modulo those columns, normalized.
     """
     m = group.ambient_rank
     rel = group.relations
-    for name, mat in (("ker_of", ker_of), ("im_of", im_of)):
-        if mat.rows != m or mat.cols != m:
-            raise DimensionMismatch(f"{name} must be {m}x{m}, got {mat.rows}x{mat.cols}")
-    rel_dec = group.smith
-    for name, mat in (("ker_of", ker_of), ("im_of", im_of)):
-        j = _first_outside(rel_dec, rel_dec.u @ (mat @ rel))
-        if j is not None:
-            raise MatrixDoesNotDescend(
-                f"{name} maps relation column {j} outside the relation lattice")
-    j = _first_outside(rel_dec, rel_dec.u @ (ker_of @ im_of))
-    if j is not None:
-        raise CompositeNotZero(f"ker_of @ im_of is nonzero on the group (generator {j})")
-
     k = kernel(ker_of.hstack(rel))
     num = snf(IntMatrix(m, k.cols, k.entries[:m * k.cols]))
     denom = im_of.hstack(rel)
     y = num.u @ denom
     if _first_outside(num, y) is not None:
-        # cannot happen once the checks above pass
+        # cannot happen once the checks pass
         raise CompositeNotZero("denominator generator escapes the numerator lattice")
     inner = [[x // d for x in y.row(i)] for i, d in enumerate(num.diagonal[:num.rank])]
     return cokernel(IntMatrix.from_rows(inner, cols=denom.cols))

@@ -572,17 +572,21 @@ def _pell4(d: int):
     P, Q, a = 0, 1, sq
     p0, q0 = 1, 0
     p1, q1 = sq, 1
+    sign = -1
     for _ in range(1_000_000):
-        n = p1 * p1 - d * q1 * q1
+        # p_k^2 - d q_k^2 = (-1)^(k+1) Q_(k+1), so the norm of the k-th
+        # convergent is read off the next Q, which stays below 2 sqrt(d)
+        P = a * Q - P
+        Q = (d - P * P) // Q
+        n = sign * Q
         if n in (1, -1):
             return 2 * p1, 2 * q1
         if n in (4, -4) and d % 4 == 1:
             return p1, q1
-        P = a * Q - P
-        Q = (d - P * P) // Q
         a = (P + sq) // Q
         p0, p1 = p1, a * p1 + p0
         q0, q1 = q1, a * q1 + q0
+        sign = -sign
     raise ReductionLimit(f"d = {d}: continued fraction of sqrt(d) did not close "
                          "in 10^6 steps")
 
@@ -651,6 +655,18 @@ def gauss_identity(d: int) -> CheckResult:
     value = ram.s - _class_data(d).dim_h0_cl
     expected = 1 if fundamental_unit(d).norm == -1 else 2
     return CheckResult(lhs=value, rhs=expected, passed=value == expected)
+
+
+def gauss_witness(d: int) -> tuple | None:
+    """(x, z) with x^2 - d*1^2 = -z^2 and x > 0 smallest, so that -1 =
+    (x/z)^2 - d*(1/z)^2 is a rational norm from Q(sqrt d); None when d is
+    not a sum of two squares. A failing gauss_identity has one: -1 is then
+    a rational norm but not the norm of a unit (d = 34: 3^2 - 34 = -5^2)."""
+    for x in range(1, isqrt(d // 2) + 1):
+        z = isqrt(d - x * x)
+        if z * z == d - x * x:
+            return x, z
+    return None
 
 
 def check_cor_lower_nf(d: int) -> CheckResult:

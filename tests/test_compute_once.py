@@ -112,6 +112,21 @@ def test_example_smith_form_count(monkeypatch, make, args, calls):
     assert sum(c["snf"] for c in counts) == calls
 
 
+def test_example_matrix_validation_count(monkeypatch):
+    # a work counter: matrices intlinalg derives from checked ones skip the
+    # per-entry checks, and tate checks its operators once (31 at present)
+    calls = Counter()
+    check = IntMatrix.__post_init__
+
+    def counted(self):
+        calls["validations"] += 1
+        check(self)
+
+    monkeypatch.setattr(IntMatrix, "__post_init__", counted)
+    mfld.run_all_checks(mfld.example_hempel(3, 4))
+    assert 0 < calls["validations"] <= 160
+
+
 def test_module_operations_reuse_the_groups_smith_form(monkeypatch):
     # tor_module presents the torsion by the Smith diagonal, so a module whose
     # relations are already diagonal would rightly take that form again

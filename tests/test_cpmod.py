@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cptate import (
+    CompositeNotZero,
+    CpModule,
     IntMatrix,
+    MatrixDoesNotDescend,
     ModuleNotFinite,
     ModuleNotTorsionFree,
     NotPrime,
@@ -24,6 +27,7 @@ from cptate import (
     free_regular_module,
     from_invariants,
     herbrand_check,
+    induced_subquotient,
     lattice_member,
     new_cp_module,
     sharp_dual,
@@ -33,6 +37,7 @@ from cptate import (
     trivial_free_module,
     trivial_module,
 )
+from cptate.mfld import example_hempel, example_lens
 from catalog import (
     PRIMES,
     base_blocks,
@@ -280,6 +285,68 @@ def test_fixed_points_against_brute_counts():
         g = fixed_points(m)
         assert g.order == counts.fixed_order
         assert m.p ** g.p_rank(m.p) == counts.fixed_p_torsion
+
+
+# -- tate and fixed_points against the checked subquotients -------------------
+
+
+def _checked_tate(m):
+    """tate as two calls of the checked induced_subquotient."""
+    s_op = m.tau - IntMatrix.identity(m.ambient_rank)
+    h0 = induced_subquotient(m.group, s_op, m.norm)
+    h1 = induced_subquotient(m.group, m.norm, s_op)
+    return len(h0.invariant_factors), len(h1.invariant_factors)
+
+
+def _checked_fixed_points(m):
+    s_op = m.tau - IntMatrix.identity(m.ambient_rank)
+    zero = IntMatrix.zeros(m.ambient_rank, m.ambient_rank)
+    return induced_subquotient(m.group, s_op, zero)
+
+
+def _tate_dims(m):
+    co = tate(m)
+    return co.dim_h0, co.dim_h1
+
+
+def _outcome(fn, m):
+    try:
+        return fn(m)
+    except Exception as err:
+        return type(err), str(err)
+
+
+def test_tate_and_fixed_points_match_the_checked_route():
+    rng = random.Random(17)
+    mods = finite_catalog()
+    for example in (example_lens(5), example_hempel(3, 4)):
+        h1 = example.h1
+        mods += [h1] + [conjugate(h1, random_unimodular(rng, h1.ambient_rank)) for _ in range(4)]
+    for m in mods:
+        assert _tate_dims(m) == _checked_tate(m)
+        assert fixed_points(m) == _checked_fixed_points(m)
+
+
+def test_raw_modules_still_fail_every_check():
+    # tate checks each operator once, so a module built without
+    # new_cp_module must still fail as the checked subquotients do,
+    # with the same error
+    g = from_invariants((2,), free_rank=1)  # relation (2, 0)
+    swap = IntMatrix.from_rows([[0, 1], [1, 0]])
+    moves = CpModule(2, g, swap, IntMatrix.identity(2) + swap)
+    with pytest.raises(MatrixDoesNotDescend):
+        tate(moves)
+    with pytest.raises(MatrixDoesNotDescend):
+        fixed_points(moves)
+    # S N = 0 but N S != 0: only the second composite check sees it
+    shear = IntMatrix.from_rows([[1, 1], [0, 1]])
+    not_commuting = CpModule(2, free_abelian(2), shear, IntMatrix.from_rows([[1, 0], [0, 0]]))
+    with pytest.raises(CompositeNotZero):
+        tate(not_commuting)
+    wrong_shape = CpModule(2, g, IntMatrix.identity(3), IntMatrix.identity(3))
+    for m in (moves, not_commuting, wrong_shape):
+        assert _outcome(_tate_dims, m) == _outcome(_checked_tate, m)
+        assert _outcome(fixed_points, m) == _outcome(_checked_fixed_points, m)
 
 
 # -- structural operators ----------------------------------------------------

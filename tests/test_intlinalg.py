@@ -82,6 +82,72 @@ def test_block_diag_and_diagonal():
     assert b.to_rows() == [[1, 0, 0], [0, 2, 0], [0, 0, 2]]
 
 
+# -- checked and trusted construction -----------------------------------------
+
+
+def test_public_constructors_keep_their_checks():
+    for bad in (2.5, 1.0, True, None):
+        with pytest.raises(TypeError):
+            IntMatrix(1, 1, (bad,))
+        with pytest.raises(TypeError):
+            IntMatrix.from_rows([[0, bad]])
+        with pytest.raises(TypeError):
+            IntMatrix.from_columns([[bad, 0]], 2)
+        with pytest.raises(TypeError):
+            IntMatrix.diagonal([1, bad])
+        # block_diag re-checks even a block that skipped the checks
+        with pytest.raises(TypeError):
+            IntMatrix.block_diag([IntMatrix.identity(1), IntMatrix._of(1, 1, (bad,))])
+    for ragged in (lambda: IntMatrix.from_rows([[1, 2], [3]]),
+                   lambda: IntMatrix.from_columns([[1, 2], [3]], 2),
+                   lambda: IntMatrix(2, 2, (1, 2, 3))):
+        with pytest.raises(DimensionMismatch):
+            ragged()
+    for negative in (lambda: IntMatrix(-1, 0, ()), lambda: IntMatrix(0, -2, ()),
+                     lambda: IntMatrix.identity(-1), lambda: IntMatrix.zeros(-1, 2),
+                     lambda: IntMatrix.zeros(2, -1), lambda: IntMatrix.zeros(-2, -2)):
+        with pytest.raises(DimensionMismatch, match="negative dimensions"):
+            negative()
+
+
+def _random_matrix(rng, rows, cols):
+    return IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(cols)]
+                                for _ in range(rows)], cols=cols)
+
+
+def _assert_same_as_checked(got):
+    again = IntMatrix(got.rows, got.cols, got.entries)
+    assert got == again and hash(got) == hash(again) and repr(got) == repr(again)
+    assert type(got.entries) is tuple and all(type(x) is int for x in got.entries)
+
+
+def test_trusted_results_equal_checked_matrices():
+    rng = random.Random(5)
+    for _ in range(40):
+        m, n, k = rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 4)
+        a, b = _random_matrix(rng, m, n), _random_matrix(rng, m, n)
+        c, sq = _random_matrix(rng, n, k), _random_matrix(rng, n, n)
+        product = a @ c
+        assert product.to_rows() == [[sum(a.at(i, t) * c.at(t, j) for t in range(n))
+                                      for j in range(k)] for i in range(m)]
+        assert (a + b).to_rows() == [[x + y for x, y in zip(r, q)]
+                                     for r, q in zip(a.to_rows(), b.to_rows())]
+        assert a.transpose().to_rows() == [list(a.col(j)) for j in range(n)]
+        dec = snf(a)
+        results = (product, a + b, a - b, -a, 3 * a, a * -2, a.transpose(), a.hstack(b),
+                   sq.power(3), IntMatrix.identity(n), IntMatrix.zeros(m, k), dec.u, dec.v)
+        for got in results:
+            _assert_same_as_checked(got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices, st.lists(st.integers(-50, 50), min_size=6, max_size=6))
+def test_apply_matches_the_entrywise_sum(a, vec):
+    vec = vec[:a.cols]
+    assert a.apply(vec) == tuple(sum(a.at(i, j) * vec[j] for j in range(a.cols))
+                                 for i in range(a.rows))
+
+
 # -- Smith normal form -------------------------------------------------------
 
 

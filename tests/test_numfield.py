@@ -420,6 +420,31 @@ def test_units_against_brute_force():
         assert (unit.x, unit.y, unit.norm) == (x, y, norm), f"d = {d}"
 
 
+def pell4_from_full_convergents(d):
+    # the convergent walk of sqrt(d), testing p^2 - d q^2 on the
+    # convergents themselves at every step
+    sq = math.isqrt(d)
+    P, Q, a = 0, 1, sq
+    p0, q0, p1, q1 = 1, 0, sq, 1
+    while True:
+        n = p1 * p1 - d * q1 * q1
+        if n in (1, -1):
+            return 2 * p1, 2 * q1
+        if n in (4, -4) and d % 4 == 1:
+            return p1, q1
+        P = a * Q - P
+        Q = (d - P * P) // Q
+        a = (P + sq) // Q
+        p0, p1 = p1, a * p1 + p0
+        q0, q1 = q1, a * q1 + q0
+
+
+def test_pell4_reads_the_norm_off_the_continued_fraction():
+    band = squarefree_range(17, 3000) + squarefree_range(10**6, 10**6 + 60)
+    for d in band:
+        assert numfield._pell4(d) == pell4_from_full_convergents(d), f"d = {d}"
+
+
 def test_unit_pins():
     # hand-checked small units
     assert fundamental_unit(2) == fundamental_unit(2).__class__(d=2, x=1, y=1, norm=-1)
@@ -512,6 +537,20 @@ def test_gauss_identity_smallest_failure_is_34():
     c = gauss_identity(34)
     assert not c.passed
     assert (c.lhs, c.rhs) == (1, 2)
+
+
+def test_gauss_witness_is_a_rational_point():
+    assert numfield.gauss_witness(34) == (3, 5)
+    assert numfield.gauss_witness(2) == (1, 1)
+    for d in squarefree_range(2, 500):
+        point = numfield.gauss_witness(d)
+        # d is a sum of two squares iff no prime 3 mod 4 divides it
+        assert (point is None) == any(q % 4 == 3 for q in factorize(d)), f"d = {d}"
+        if point is not None:
+            x, z = point
+            assert 0 < x <= z and x * x - d == -z * z
+        if not gauss_identity(d).passed:
+            assert point is not None, f"d = {d}"
 
 
 def test_gauss_value_range_and_one_sidedness():
