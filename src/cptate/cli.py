@@ -89,13 +89,14 @@ def _tally_field(payload: dict, summary: RunSummary) -> bool:
 
 def _witness(d: int, name: str) -> str:
     """For a failing gauss_identity, the unit's norm and a rational point
-    showing that -1 is a norm all the same; empty for other checks."""
+    showing that -1 is a norm all the same; empty for other checks. ASCII,
+    like the rest of the table, so any stdout encoding can print it."""
     point = numfield.gauss_witness(d) if name == "gauss_identity" else None
     if point is None:
         return ""
     x, z = point
     return (f"  unit norm {numfield.fundamental_unit(d).norm:+d}, "
-            f"yet {x}\u00b2 \u2212 {d}\u00b71\u00b2 = \u2212{z}\u00b2")
+            f"yet {x}^2 - {d}*1^2 = -{z}^2")
 
 
 def cmd_verify_quadratic(args) -> int:

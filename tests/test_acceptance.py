@@ -36,7 +36,8 @@ from cptate import (
     trivial_free_module,
 )
 from cptate.mfld import expected_outcomes
-from cptate.numfield import HEEGNER_DS, factorize, nine_fields_check, scan_cubic_csv
+from cptate.numfield import (HEEGNER_DS, factorize, gauss_witness, nine_fields_check,
+                              scan_cubic_csv)
 from catalog import brute_tate_dims, finite_catalog
 
 DATA = Path(__file__).parent / "data"
@@ -116,6 +117,15 @@ def test_gauss_sweep_failure_set_is_frozen(quad_sweep):
             failures.append(d)
     assert len(failures) == 130
     assert failures[:6] == [34, 146, 178, 194, 205, 221]
+
+
+def test_every_gauss_failure_has_a_rational_witness(quad_sweep):
+    # the table prints x^2 - d*1^2 = -z^2 next to each frozen failure
+    reports, _ = quad_sweep
+    failures = [d for d in reports if d >= 2 and not reports[d].checks["gauss_identity"].passed]
+    for d in failures:
+        x, z = gauss_witness(d)
+        assert x * x - d == -z * z, f"d = {d}"
 
 
 @pytest.mark.acceptance(criterion=5, label="ramified-count bounds sweep to |d| = 5000")
