@@ -15,6 +15,7 @@ rank (the Herbrand quotient is trivial).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from math import gcd
 from operator import mul
 
@@ -299,7 +300,9 @@ def _smith_conjugate(module: CpModule):
 
 
 def _block(mat: IntMatrix, rows: range, cols: range) -> IntMatrix:
-    return IntMatrix.from_rows([[mat.at(i, j) for j in cols] for i in rows], cols=len(cols))
+    n, e = mat.cols, mat.entries
+    return IntMatrix._of(len(rows), len(cols), tuple(chain.from_iterable(
+        e[i * n + cols.start:i * n + cols.stop] for i in rows)))
 
 
 def free_module(module: CpModule, conjugated=None) -> CpModule:
@@ -320,8 +323,10 @@ def tor_module(module: CpModule, conjugated=None) -> CpModule:
     tor, free = range(dec.rank), range(dec.rank, module.ambient_rank)
     if not _block(tau, free, tor).is_zero():
         raise CpModuleError("torsion subgroup is not tau-stable; validation broken")
-    return CpModule(module.p, cokernel(IntMatrix.diagonal(dec.diagonal[:dec.rank])),
-                    _block(tau, tor, tor), _block(norm, tor, tor))
+    diag = dec.diagonal
+    rel = IntMatrix._of(dec.rank, dec.rank, tuple(diag[i] if i == j else 0
+                                                  for i in tor for j in tor))
+    return CpModule(module.p, cokernel(rel), _block(tau, tor, tor), _block(norm, tor, tor))
 
 
 def star_dual(module: CpModule) -> CpModule:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from operator import mul
+from operator import mod, mul
 
 
 class DimensionMismatch(ValueError):
@@ -427,17 +427,21 @@ def lattice_member(a: IntMatrix, b) -> tuple | None:
 def kernel(a: IntMatrix) -> IntMatrix:
     """Basis of the integer kernel {x : a @ x == 0}, as matrix columns."""
     dec = snf(a)
-    cols = [dec.v.col(j) for j in range(dec.rank, a.cols)]
-    return IntMatrix.from_columns(cols, a.cols)
+    n, r = a.cols, dec.rank
+    v = dec.v.entries
+    # the last n - r columns of v, read row by row
+    return IntMatrix._of(n, n - r, tuple(chain.from_iterable(
+        v[i * n + r:(i + 1) * n] for i in range(n))))
 
 
 def _first_outside(dec: SmithDecomposition, y: IntMatrix) -> int | None:
     """Index of the first column of y = dec.u @ mat whose column of mat lies
     outside the column lattice of dec.source, or None if there is none."""
-    dg, r = dec.diagonal, dec.rank
-    for j in range(y.cols):
-        c = y.col(j)
-        if any(c[r:]) or any(c[i] % dg[i] for i in range(r)):
+    dg, r = dec.diagonal[:dec.rank], dec.rank
+    entries, n = y.entries, y.cols
+    for j in range(n):
+        c = entries[j::n]
+        if any(c[r:]) or any(map(mod, c, dg)):
             return j
     return None
 
@@ -585,11 +589,11 @@ def _subquotient(group: FgAbGroup, ker_of: IntMatrix, im_of: IntMatrix) -> FgAbG
     m = group.ambient_rank
     rel = group.relations
     k = kernel(ker_of.hstack(rel))
-    num = snf(IntMatrix(m, k.cols, k.entries[:m * k.cols]))
+    num = snf(IntMatrix._of(m, k.cols, k.entries[:m * k.cols]))
     denom = im_of.hstack(rel)
     y = num.u @ denom
     if _first_outside(num, y) is not None:
         # cannot happen once the checks pass
         raise CompositeNotZero("denominator generator escapes the numerator lattice")
-    inner = [[x // d for x in y.row(i)] for i, d in enumerate(num.diagonal[:num.rank])]
-    return cokernel(IntMatrix.from_rows(inner, cols=denom.cols))
+    inner = tuple(x // d for i, d in enumerate(num.diagonal[:num.rank]) for x in y.row(i))
+    return cokernel(IntMatrix._of(num.rank, denom.cols, inner))

@@ -3,11 +3,12 @@
 Class groups are computed through binary quadratic forms of the field
 discriminant: reduced positive-definite forms under Gauss composition for
 d < 0, and cycles of reduced indefinite forms (narrow classes) for d > 0.
-The reduced forms are listed by first coefficient a, from the square roots
-of D modulo 4a, in O~(sqrt|D|) steps.
-The structure comes from one relation lattice on those classes through
-`cokernel`; the wide class group is the narrow group modulo the class of
-(-1, b0, *), one more relation column. Fundamental units come from the
+The group is generated by the prime forms (p, b_p, *) with (D/p) != -1 and
+p <= sqrt(|D|/3) for d < 0, p <= isqrt(D)/2 for d > 0, the latter with
+(-1, b0, *); no list of all reduced forms is made. The structure comes
+from one relation lattice on the generators' classes through `cokernel`;
+the wide class group is the narrow group modulo the class of (-1, b0, *),
+one more relation column. Fundamental units come from the
 continued fraction of sqrt(d) through the Pell equation u^2 - d v^2 = +-4.
 Everything is exact; no floating point is used anywhere.
 """
@@ -281,103 +282,29 @@ def _sqrt_mod_prime(n: int, p: int) -> int | None:
     return r
 
 
-def _roots_mod_4a(D: int, bound: int):
-    """Yield (a, roots) for each a <= bound that has roots: every r mod 2a
-    with r^2 = D (mod 4a), which is all of them, since (r + 2a)^2 = r^2
-    (mod 4a).
-
-    With a = 2^k o, o odd, the roots are the CRT combination of those
-    modulo 2^(k+1) and those modulo o. The roots modulo o are built
-    multiplicatively over a smallest-prime-factor sieve: at p^e || o with p
-    prime to D, Tonelli-Shanks at p, Newton-lifted to p^e; an odd p that
-    divides the fundamental discriminant D divides it once, so it leaves
-    the root 0 when e = 1 and none when e > 1. The 2-adic roots are in
-    closed form. For odd D, k = 0 gives the odd r, and k > 0 needs
-    D = 1 (mod 8) and gives +-s, s a 2-adic square root of D lifted one
-    bit at a time. For D = 4d', 4 does not divide a, and r is even when
-    k = 0 and 2 (d' mod 2) modulo 4 when k = 1.
-    """
-    if D % 2:
-        two = [(2, (1,))]
-        if D % 8 == 1:
-            s, m = 1, 4  # s^2 = D (mod 2m)
-            while m <= 2 * bound:
-                two.append((m, (s, m - s)))
-                if (s * s - D) % (4 * m):
-                    s += m
-                m *= 2
-    else:
-        two = [(2, (0,)), (4, (2 * (D // 4 % 2),))]
-    spf = list(range(bound + 1))
-    for p in range(3, isqrt(bound) + 1, 2):
-        if spf[p] == p:
-            for n in range(p * p, bound + 1, 2 * p):
-                if spf[n] == n:
-                    spf[n] = p
-    odd = [()] * (bound + 1)  # odd[o]: the roots of D modulo odd o
-    for o in range(1, bound + 1, 2):
-        if o == 1:
-            roots = (0,)
-        else:
-            p = q = spf[o]
-            while o % (q * p) == 0:
-                q *= p
-            rest = o // q
-            if rest > 1:
-                r1, r2 = odd[q], odd[rest]
-                if not (r1 and r2):
-                    continue
-                inv = pow(q, -1, rest)
-                roots = [x + q * ((y - x) * inv % rest) for x in r1 for y in r2]
-            elif D % p == 0:
-                if q > p:
-                    continue
-                roots = (0,)
-            else:
-                t = _sqrt_mod_prime(D, p)
-                if t is None:
-                    continue
-                while (t * t - D) % q:
-                    t = (t - (t * t - D) * pow(2 * t, -1, q)) % q
-                roots = (t, q - t)
-            odd[o] = roots
-        for m, two_roots in two:
-            a = o * m // 2
-            if a > bound:
-                break
-            inv = pow(o, -1, m)
-            yield a, [r + o * ((u - r) * inv % m) for u in two_roots for r in roots]
-
-
-def _reduced_forms(D: int) -> list:
-    """The reduced forms of discriminant D, sorted, from the square roots
-    of D modulo 4a for each first coefficient a.
-
-    D < 0: -a < b <= a <= c, with b >= 0 when a == c; 3a^2 <= |D| bounds a.
-    D > 0: 0 < b < sqrt(D) and |sqrt(D) - 2|a|| < b, so a <= isqrt(D); for
-    a > 0 these b fill an interval of at most 2a integers, which each root
-    class modulo 2a meets at most once. Each (a, b, c) comes with
-    (-a, b, -c).
-    """
+def _prime_forms(D: int, bound: int) -> list:
+    """The prime forms (p, b_p, (b_p^2 - D)/4p) of discriminant D, one for
+    each prime p <= bound with (D/p) != -1, with b_p = D (mod 2) and
+    b_p^2 = D (mod 4p). An odd p prime to D takes b_p from Tonelli-Shanks
+    at p, moved to the parity of D; an odd p dividing D takes p (D mod 2).
+    At 2: b_2 = 1 when D = 1 (mod 8), none when D = 5 (mod 8), and for
+    D = 4d' b_2 = 2 (d' mod 2)."""
     forms = []
-    if D < 0:
-        for a, roots in _roots_mod_4a(D, isqrt(-D // 3)):
-            for r in roots:
-                b = r if r <= a else r - 2 * a
-                c = (b * b - D) // (4 * a)
-                if c > a or (c == a and b >= 0):
-                    forms.append((a, b, c))
-    else:
-        sq = isqrt(D)
-        for a, roots in _roots_mod_4a(D, sq):
-            # b > |sqrt(D) - 2a| in integers, sqrt(D) being irrational
-            lo = max(sq - 2 * a + 1, 2 * a - sq)
-            for r in roots:
-                b = lo + (r - lo) % (2 * a)
-                if b <= sq:
-                    c = (b * b - D) // (4 * a)
-                    forms += [(a, b, c), (-a, b, -c)]
-    return sorted(forms)
+    for p in primes_upto(bound):
+        if p == 2:
+            if D % 8 == 5:
+                continue
+            b = 1 if D % 2 else 2 * (D // 4 % 2)
+        elif D % p == 0:
+            b = p * (D & 1)
+        else:
+            b = _sqrt_mod_prime(D, p)
+            if b is None:
+                continue
+            if (b - D) % 2:
+                b = p - b
+        forms.append((p, b, (b * b - D) // (4 * p)))
+    return forms
 
 
 # -- generic structure of a finite abelian group given by a black box -------
@@ -456,49 +383,57 @@ def _class_record(d, D, inv, h, narrow_inv, narrow_h, neg_trivial) -> ClassData:
 
 @lru_cache(maxsize=1024)
 def _class_data(d: int) -> ClassData:
-    """The field's record. Each sign supplies its classes' representatives
-    and cls_of, the class of a form: the reduced forms for d < 0, one
-    reduced form per cycle for d > 0. The class group (d < 0) or the
-    narrow class group (d > 0) is the cokernel of one relation lattice on
-    them; the wide group is the narrow group modulo the class of
-    (-1, b0, *), that is the cokernel of the same lattice plus that
-    class's coordinates as one more column."""
+    """The field's record. The class group (d < 0) or the narrow class
+    group (d > 0) is the cokernel of one relation lattice on the classes
+    of prime forms, which generate it:
+
+    d < 0: every class has a reduced form with a <= sqrt(|D|/3), and that
+    form is a product of the prime forms (p, +-b_p, *) with p | a.
+    d > 0: every cycle of reduced forms has one with |a| < sqrt(D)/2, since
+    |ac| < D/4 and c is the first coefficient of the next form; and for
+    a < 0, (a, b, c) = (-1, b0, *)(-a, b, -c). So the prime forms with
+    p <= isqrt(D)/2 and (-1, b0, *) generate the narrow group.
+
+    cls_of names a form's class: its reduced form for d < 0, and for d > 0
+    the least form on its cycle, each cycle walked once, the first time
+    one of its forms comes up. The wide group is the narrow group modulo
+    the class of (-1, b0, *), that is the cokernel of the same lattice
+    plus that class's coordinates as one more column."""
     D = quadratic_field(d).discriminant
     if d < 0:
-        reps = _reduced_forms(D)
+        gens = _prime_forms(D, isqrt(-D // 3))
 
         def cls_of(form):
             return _definite_reduce(form, D)
     else:
         sq = isqrt(D)
+        b0 = D & 1
+        neg = (-1, b0, (D - b0 * b0) // 4)
+        gens = _prime_forms(D, sq // 2) + [neg]
         cycle_of = {}
-        reps = []
-        for f in _reduced_forms(D):
-            if f in cycle_of:
-                continue
-            orbit = [f]
-            g = _rho(f, D, sq)
-            while g != f:
-                orbit.append(g)
-                g = _rho(g, D, sq)
-            rep = min(orbit)
-            for h in orbit:
-                cycle_of[h] = rep
-            reps.append(rep)
 
         def cls_of(form):
-            return cycle_of[_indefinite_reduce(form, D, sq)]
+            f = _indefinite_reduce(form, D, sq)
+            if f not in cycle_of:
+                orbit = [f]
+                g = _rho(f, D, sq)
+                while g != f:
+                    orbit.append(g)
+                    g = _rho(g, D, sq)
+                rep = min(orbit)
+                for h in orbit:
+                    cycle_of[h] = rep
+            return cycle_of[f]
 
     def op(x, y):
         return cls_of(_compose_raw(x, y, D))
 
     ident = cls_of(_principal_form(D))
-    coords, rel = _relation_lattice(reps, op, ident)
+    coords, rel = _relation_lattice(map(cls_of, gens), op, ident)
     narrow = cokernel(rel)
     if d < 0:
         return _class_record(d, D, narrow.invariant_factors, narrow.order, None, None, None)
-    b0 = D & 1
-    neg = cls_of((-1, b0, (D - b0 * b0) // 4))
+    neg = cls_of(neg)
     wide = cokernel(rel.hstack(IntMatrix.from_columns([coords[neg]], rel.rows)))
     return _class_record(d, D, wide.invariant_factors, wide.order,
                          narrow.invariant_factors, narrow.order, neg == ident)

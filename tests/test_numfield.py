@@ -43,15 +43,14 @@ from cptate.numfield import (
     _definite_reduce,
     _indefinite_reduce,
     _principal_form,
-    _reduced_forms,
     _relation_lattice,
-    _rho,
     factorize,
     is_prime,
     is_squarefree,
     primes_upto,
     scan_cubic_csv,
 )
+from test_reduced_forms import oracle_cycles, oracle_forms_negative
 
 
 def squarefree_range(lo, hi):
@@ -309,7 +308,7 @@ def test_class_group_structure_against_solution_counts():
     # in a group with invariant factors f it is the product of gcd(n, f)
     for d in squarefree_range(-1000, -2):
         D = quadratic_field(d).discriminant
-        forms = _reduced_forms(D)
+        forms = oracle_forms_negative(D)
         e = _definite_reduce(_principal_form(D), D)
         orders = []
         for f in forms:
@@ -325,26 +324,40 @@ def test_class_group_structure_against_solution_counts():
 
 
 def narrow_class_group(D):
-    """Classes of forms of discriminant D > 0 as their cycles' least forms,
-    with the composition law on them."""
+    """Classes of forms of discriminant D > 0 as the least forms of the
+    oracle's cycles, with the composition law on them."""
     sq = math.isqrt(D)
+    label = {f: min(cycle) for cycle in oracle_cycles(D) for f in cycle}
 
     def cls(f):
-        f = _indefinite_reduce(f, D, sq)
-        cycle = [f]
-        while (g := _rho(cycle[-1], D, sq)) != f:
-            cycle.append(g)
-        return min(cycle)
+        return label[_indefinite_reduce(f, D, sq)]
 
-    classes = sorted({cls(f) for f in _reduced_forms(D)})
+    classes = sorted(set(label.values()))
     return classes, lambda x, y: cls(_compose_raw(x, y, D)), cls(_principal_form(D))
+
+
+def test_narrow_class_group_structure_against_solution_counts():
+    # the real-field twin of the test above, on the oracle's cycles
+    for d in squarefree_range(2, 1000):
+        classes, op, e = narrow_class_group(quadratic_field(d).discriminant)
+        orders = []
+        for f in classes:
+            x, k = f, 1
+            while x != e:
+                x, k = op(x, f), k + 1
+            orders.append(k)
+        invariants = _class_data(d).narrow_invariants
+        for n in range(1, len(classes) + 1):
+            if len(classes) % n == 0:
+                count = sum(1 for k in orders if n % k == 0)
+                assert count == math.prod(math.gcd(n, f) for f in invariants), f"d = {d}, n = {n}"
 
 
 @pytest.mark.parametrize("d", [-14, -1365, -3299, 15, 219, 2410, 15015])
 def test_relation_lattice_coordinates_are_a_homomorphism(d):
     D = quadratic_field(d).discriminant
     if d < 0:
-        classes = _reduced_forms(D)
+        classes = oracle_forms_negative(D)
         ident = _definite_reduce(_principal_form(D), D)
 
         def op(x, y):
@@ -364,7 +377,7 @@ def test_relation_lattice_coordinates_are_a_homomorphism(d):
 
 @pytest.mark.parametrize("D", [-23, -47, -56, -71, -84])
 def test_definite_composition_group_laws(D):
-    forms = _reduced_forms(D)
+    forms = oracle_forms_negative(D)
     e = _definite_reduce(_principal_form(D), D)
     index = {f: i for i, f in enumerate(forms)}
 
@@ -391,7 +404,7 @@ def test_definite_composition_group_laws(D):
 def test_form_counts_match_class_numbers():
     for d in (-1, -5, -14, -23, -47, -71):
         D = quadratic_field(d).discriminant
-        assert len(_reduced_forms(D)) == class_number(d)
+        assert len(oracle_forms_negative(D)) == class_number(d)
 
 
 # -- units ----------------------------------------------------------------------

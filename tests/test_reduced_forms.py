@@ -1,14 +1,18 @@
-"""The reduced forms that numfield enumerates from square roots of D modulo
-4a, against the plain enumeration oracle below: loop over b, and take a
-over the divisors of (b^2 - D)/4 by trial division. The oracle is O(|D|)
-and shares no code with numfield."""
+"""The class numbers that numfield reads off prime forms, against the
+plain enumeration oracle below: loop over b, take a over the divisors of
+(b^2 - D)/4 by trial division, and for D > 0 walk the reduced forms' cycles
+with this module's own rho. The oracle is O(|D|) and shares no code with
+numfield."""
 
 import math
 
 from cptate.numfield import (
-    _reduced_forms,
+    _class_data,
+    _prime_forms,
     _sqrt_mod_prime,
+    class_number,
     is_squarefree,
+    kronecker,
     primes_upto,
     quadratic_field,
 )
@@ -58,22 +62,73 @@ def oracle_forms(D):
     return oracle_forms_negative(D) if D < 0 else oracle_forms_positive(D)
 
 
+def oracle_cycles(D):
+    """The reduced indefinite forms of D > 0, split into their cycles. The
+    next form after (a, b, c) is (c, b', *) with b' = -b (mod 2|c|) and
+    sqrt(D) - 2|c| < b' < sqrt(D)."""
+    sq = math.isqrt(D)
+    left = set(oracle_forms_positive(D))
+    cycles = []
+    while left:
+        f = min(left)
+        cycle = [f]
+        while True:
+            _, b, c = cycle[-1]
+            t = 2 * abs(c)
+            b2 = t * ((sq + b) // t) - b
+            g = (c, b2, (b2 * b2 - D) // (4 * c))
+            if g == f:
+                break
+            cycle.append(g)
+        left.difference_update(cycle)
+        cycles.append(cycle)
+    return cycles
+
+
 def _fields(ts):
     return [d for t in ts for d in (-t, t) if d != 1 and is_squarefree(d)]
 
 
-def test_reduced_forms_match_the_oracle_up_to_5000():
+def _check_class_numbers(d):
+    # h is the number of reduced forms for d < 0; h+ is the number of
+    # cycles for d > 0
+    D = quadratic_field(d).discriminant
+    if d < 0:
+        assert class_number(d) == len(oracle_forms_negative(D)), f"d = {d}"
+    else:
+        assert _class_data(d).narrow_class_number == len(oracle_cycles(D)), f"d = {d}"
+
+
+def test_class_numbers_match_the_oracle_up_to_5000():
     for d in _fields(range(1, 5001)):
-        D = quadratic_field(d).discriminant
-        assert _reduced_forms(D) == oracle_forms(D), f"d = {d}"
+        _check_class_numbers(d)
 
 
-def test_reduced_forms_match_the_oracle_near_10_to_the_5():
+def test_class_numbers_match_the_oracle_near_10_to_the_5():
     ts = [t for t in range(10**5, 10**5 + 30) if is_squarefree(t)][:10]
     assert len(ts) == 10
     for d in _fields(ts):
+        _check_class_numbers(d)
+
+
+def test_oracle_cycles_partition_the_reduced_forms():
+    for D in (5, 8, 12, 40, 136, 229, 4 * 79, 1345):
+        cycles = oracle_cycles(D)
+        forms = [f for cycle in cycles for f in cycle]
+        assert sorted(forms) == oracle_forms_positive(D), D
+    # Q(sqrt 79): h = 3 and the fundamental unit has norm +1, so h+ = 6
+    assert len(oracle_cycles(4 * 79)) == 6
+
+
+def test_prime_forms_are_the_split_and_ramified_primes():
+    for d in _fields(range(1, 400)) + _fields(range(10**5, 10**5 + 8)):
         D = quadratic_field(d).discriminant
-        assert _reduced_forms(D) == oracle_forms(D), f"d = {d}"
+        for bound in (1, 2, 3, 10, math.isqrt(abs(D))):
+            forms = _prime_forms(D, bound)
+            assert [p for p, _, _ in forms] == [
+                p for p in primes_upto(bound) if kronecker(D, p) != -1], (d, bound)
+            for p, b, c in forms:
+                assert b * b - 4 * p * c == D and (b - D) % 2 == 0, (d, p, b, c)
 
 
 def test_sqrt_mod_prime_against_euler_criterion():
