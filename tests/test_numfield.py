@@ -302,25 +302,32 @@ def test_class_cohomology_against_genus_theory_near_a_million():
         assert data.fixed_invariants == (2,) * rank, f"d = {d}"
 
 
-def test_class_group_structure_against_solution_counts():
+def check_structure_by_solution_counts(classes, op, e, invariants, label):
     # the number of x with x^n = 1 for every n | h determines a finite
     # abelian group; here it is counted by plain repeated composition, and
     # in a group with invariant factors f it is the product of gcd(n, f)
+    orders = []
+    for f in classes:
+        x, k = f, 1
+        while x != e:
+            x, k = op(x, f), k + 1
+        orders.append(k)
+    for n in range(1, len(classes) + 1):
+        if len(classes) % n == 0:
+            count = sum(1 for k in orders if n % k == 0)
+            assert count == math.prod(math.gcd(n, f) for f in invariants), f"{label}, n = {n}"
+
+
+def test_class_group_structure_against_solution_counts():
     for d in squarefree_range(-1000, -2):
         D = quadratic_field(d).discriminant
-        forms = oracle_forms_negative(D)
-        e = _definite_reduce(_principal_form(D), D)
-        orders = []
-        for f in forms:
-            x, k = f, 1
-            while x != e:
-                x, k = _definite_reduce(_compose_raw(x, f, D), D), k + 1
-            orders.append(k)
-        invariants = _class_data(d).invariants
-        for n in range(1, len(forms) + 1):
-            if len(forms) % n == 0:
-                count = sum(1 for k in orders if n % k == 0)
-                assert count == math.prod(math.gcd(n, f) for f in invariants), f"d = {d}, n = {n}"
+
+        def op(x, y):
+            return _definite_reduce(_compose_raw(x, y, D), D)
+
+        check_structure_by_solution_counts(
+            oracle_forms_negative(D), op, _definite_reduce(_principal_form(D), D),
+            _class_data(d).invariants, f"d = {d}")
 
 
 def narrow_class_group(D):
@@ -340,17 +347,8 @@ def test_narrow_class_group_structure_against_solution_counts():
     # the real-field twin of the test above, on the oracle's cycles
     for d in squarefree_range(2, 1000):
         classes, op, e = narrow_class_group(quadratic_field(d).discriminant)
-        orders = []
-        for f in classes:
-            x, k = f, 1
-            while x != e:
-                x, k = op(x, f), k + 1
-            orders.append(k)
-        invariants = _class_data(d).narrow_invariants
-        for n in range(1, len(classes) + 1):
-            if len(classes) % n == 0:
-                count = sum(1 for k in orders if n % k == 0)
-                assert count == math.prod(math.gcd(n, f) for f in invariants), f"d = {d}, n = {n}"
+        check_structure_by_solution_counts(classes, op, e, _class_data(d).narrow_invariants,
+                                           f"d = {d}")
 
 
 @pytest.mark.parametrize("d", [-14, -1365, -3299, 15, 219, 2410, 15015])
