@@ -144,9 +144,6 @@ class IntMatrix:
     def row(self, i):
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
-    def col(self, j):
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
     def to_rows(self):
         return [list(self.row(i)) for i in range(self.rows)]
 

@@ -6,9 +6,13 @@ d < 0, and cycles of reduced indefinite forms (narrow classes) for d > 0.
 The group is generated by the prime forms (p, b_p, *) with (D/p) != -1 and
 p <= sqrt(|D|/3) for d < 0, p <= isqrt(D)/2 for d > 0, the latter with
 (-1, b0, *); no list of all reduced forms is made. The structure comes
-from one relation lattice on the generators' classes through `cokernel`;
-the wide class group is the narrow group modulo the class of (-1, b0, *),
-one more relation column. Fundamental units come from the
+from one relation lattice on the generators' classes through `cokernel`.
+The lattice composes one class of each inverse pair and takes the other
+as the class of (c, b, a); for d > 0 one walk of a cycle labels the
+inverse class's cycle too. The wide class group is the narrow group
+modulo the class of (-1, b0, *), one more relation column. The class
+module's cohomology is shared by fields whose class groups have one
+2-primary part. Fundamental units come from the
 continued fraction of sqrt(d) through the Pell equation u^2 - d v^2 = +-4.
 Everything is exact; no floating point is used anywhere.
 """
@@ -18,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt
 
 from .cpmod import CpModule, new_cp_module, tate, fixed_points, is_prime
 from .intlinalg import IntMatrix, cokernel, from_invariants
@@ -194,9 +198,17 @@ def _principal_form(D: int):
 
 
 def _compose_raw(f1, f2, D):
-    # Dirichlet composition; valid for primitive forms of either sign of D
+    """Dirichlet composition of primitive forms of either sign of D, before
+    reduction. When gcd(a1, a2) = 1, b3 = b1 (mod 2a1) and b3 = b2 (mod 2a2)
+    fix b3 modulo 2 a1 a2, and b2 + 2 a2 k with k = (b1 - b2)/2 / a2
+    (mod |a1|) is that solution; otherwise the general formula runs."""
     a1, b1, _ = f1
     a2, b2, _ = f2
+    if gcd(a1, a2) == 1:
+        a3 = a1 * a2
+        m = abs(a1)
+        b3 = (b2 + 2 * a2 * ((b1 - b2) // 2 * pow(a2, -1, m) % m)) % (2 * abs(a3))
+        return (a3, b3, (b3 * b3 - D) // (4 * a3))
     s = (b1 + b2) // 2
     d1, u1, v1 = _xgcd(a1, a2)
     d, u2, v2 = _xgcd(d1, s)
@@ -310,28 +322,41 @@ def _prime_forms(D: int, bound: int) -> list:
 # -- generic structure of a finite abelian group given by a black box -------
 
 
-def _relation_lattice(elements, op, identity):
+def _relation_lattice(elements, op, inv, identity):
     """Coordinates of every element on greedily chosen generators, and the
     generators' relations as matrix columns; the group is their cokernel.
 
-    The next generator g is the first element outside the span so far. Its
-    first power g^n inside the span gives the relation n e_g - coords(g^n),
-    and the span grows by the cosets g^i span for 0 < i < n, so each element
-    is composed about once.
+    The next generator g is the first element outside the span so far. For
+    i = 1, 2, ... the coset g^i span is filled by composition, with
+    coordinates c + (i,), and the coset g^-i span by inv, with (-c) + (-i,),
+    until the power g^i is already in coords with last coordinate e. Only
+    the cosets for 0 and +-j, j < i, are in coords then, and g^i in g^j span
+    with 0 < j < i would have put g^(i-j) in the span, an earlier hit; so e
+    is in {0, -1, ..., -(i-1)} and g^(i-e) lies in the span: i - e is a
+    positive multiple of g's order n over the span. The power g^n reaches
+    the span at the latest, so i <= n and i - e <= 2i - 1 < 2n: the first
+    hit gives i - e = n exactly, and the relation n e_g - coords(g^n).
+    Coordinates may be negative. The relations lie in the kernel of the
+    coordinate map and are triangular with diagonal n_j, whose product is
+    the group's order, so they generate that kernel. Each inverse pair
+    costs one composition, and none composes with the identity.
     """
     coords = {identity: ()}
     relations = []
     for g in elements:
         if g in coords:
             continue
-        span = list(coords.items())
-        coords = {x: c + (0,) for x, c in span}
-        power, n = g, 1
+        span = [(x, c, tuple(-t for t in c)) for x, c in coords.items()]
+        coords = {x: c + (0,) for x, c, _ in span}
+        power, i = g, 1
         while power not in coords:
-            for x, c in span:
-                coords[op(power, x)] = c + (n,)
-            power, n = op(power, g), n + 1
-        relations.append(tuple(-x for x in coords[power][:-1]) + (n,))
+            for x, c, minus_c in span:
+                y = power if x == identity else op(power, x)
+                coords[y] = c + (i,)
+                coords[inv(y)] = minus_c + (-i,)
+            power, i = op(power, g), i + 1
+        c = coords[power]
+        relations.append(tuple(-t for t in c[:-1]) + (i - c[-1],))
     k = len(relations)
     rel = IntMatrix.from_columns([r + (0,) * (k - len(r)) for r in relations], k)
     return coords, rel
@@ -360,8 +385,11 @@ class ClassData:
 def _class_cohomology(inv: tuple) -> tuple:
     """(dim H^0, dim H^1, fixed free rank, fixed invariant factors) of the
     class module with invariant factors inv. Inversion is -1 on every
-    presentation, so inv fixes the module up to isomorphism and fields
-    with one class-group structure share the entry."""
+    presentation, so inv fixes the module up to isomorphism. Under -1,
+    H^0 = A[2], H^1 = A/2A and the fixed points are A[2]; all three vanish
+    on a group of odd order, so _class_record passes the 2-primary
+    invariants, and fields whose class groups share their 2-part share
+    the entry."""
     cl = _class_module(inv)
     co = tate(cl)
     fixed = fixed_points(cl)
@@ -376,9 +404,11 @@ def _unit_h1_dim(real: bool) -> int:
 
 
 def _class_record(d, D, inv, h, narrow_inv, narrow_h, neg_trivial) -> ClassData:
-    """The field's record; its cohomology is looked up by isomorphism type."""
+    """The field's record; its cohomology is looked up by the isomorphism
+    type of Cl's 2-primary part, the factors 2^v_2(n) of its even n."""
+    two = tuple(n & -n for n in inv if n % 2 == 0)
     return ClassData(d, D, inv, h, narrow_inv, narrow_h, neg_trivial,
-                     *_class_cohomology(inv), _unit_h1_dim(d > 0))
+                     *_class_cohomology(two), _unit_h1_dim(d > 0))
 
 
 @lru_cache(maxsize=1024)
@@ -395,10 +425,14 @@ def _class_data(d: int) -> ClassData:
     p <= isqrt(D)/2 and (-1, b0, *) generate the narrow group.
 
     cls_of names a form's class: its reduced form for d < 0, and for d > 0
-    the least form on its cycle, each cycle walked once, the first time
-    one of its forms comes up. The wide group is the narrow group modulo
-    the class of (-1, b0, *), that is the cokernel of the same lattice
-    plus that class's coordinates as one more column."""
+    the least form on its cycle. A cycle is walked the first time one of
+    its forms comes up, and its mirror {(c, b, a)}, the cycle of the
+    inverse class, is labelled with it, so a class and its inverse cost
+    one walk. The inverse of (a, b, c) is the
+    class of (c, b, a), equivalent to (a, -b, c), for both signs. The wide
+    group is the narrow group modulo the class of (-1, b0, *), that is the
+    cokernel of the same lattice plus that class's coordinates as one more
+    column."""
     D = quadratic_field(d).discriminant
     if d < 0:
         gens = _prime_forms(D, isqrt(-D // 3))
@@ -420,16 +454,22 @@ def _class_data(d: int) -> ClassData:
                 while g != f:
                     orbit.append(g)
                     g = _rho(g, D, sq)
-                rep = min(orbit)
-                for h in orbit:
-                    cycle_of[h] = rep
+                cycle_of.update(dict.fromkeys(orbit, min(orbit)))
+                a, b, c = f
+                if (c, b, a) not in cycle_of:
+                    mirror = [(c, b, a) for a, b, c in orbit]
+                    cycle_of.update(dict.fromkeys(mirror, min(mirror)))
             return cycle_of[f]
 
     def op(x, y):
         return cls_of(_compose_raw(x, y, D))
 
+    def inv(x):
+        a, b, c = x
+        return cls_of((c, b, a))
+
     ident = cls_of(_principal_form(D))
-    coords, rel = _relation_lattice(map(cls_of, gens), op, ident)
+    coords, rel = _relation_lattice(map(cls_of, gens), op, inv, ident)
     narrow = cokernel(rel)
     if d < 0:
         return _class_record(d, D, narrow.invariant_factors, narrow.order, None, None, None)

@@ -1,6 +1,7 @@
 """Each field and each manifold example derives its cohomology once; the
 checks only read the stored record. Fields share the cohomology of their
-class module by isomorphism type, and of their unit module by sign."""
+class module by the isomorphism type of its 2-primary part, and of their
+unit module by sign."""
 
 from collections import Counter
 from dataclasses import fields, replace
@@ -55,6 +56,45 @@ def test_fields_share_cohomology_by_isomorphism_type(monkeypatch):
         report = numfield.field_report(d)
         assert report.class_data.invariants == (2,)
         assert counts["tate"] - before == calls, f"d = {d}"
+
+
+@pytest.mark.parametrize("steps", [
+    [(-2, (), 2), (-23, (3,), 0), (-47, (5,), 0), (-239, (15,), 0),
+     (-5, (2,), 1), (-26, (6,), 0)],
+    [(2, (), 2), (79, (3,), 0), (401, (5,), 0), (9871, (15,), 0),
+     (10, (2,), 1), (235, (6,), 0)],
+], ids=["d<0", "d>0"])
+def test_fields_share_cohomology_by_the_2_primary_part(monkeypatch, steps):
+    # the cohomology of Cl under inversion lives on its 2-primary part, so
+    # odd class groups reuse the trivial group's entry and Z/6 reuses Z/2's;
+    # the first field of each list also takes the unit module's tate
+    _clear_caches()
+    counts = _count_calls(monkeypatch, numfield, ("tate",))
+    for d, invariants, calls in steps:
+        before = counts["tate"]
+        report = numfield.field_report(d)
+        assert report.class_data.invariants == invariants
+        assert counts["tate"] - before == calls, f"d = {d}"
+
+
+def test_class_group_composes_once_per_inverse_pair(monkeypatch):
+    # a work counter: Cl = Z/2 x Z/516; the lattice composes one class of
+    # each inverse pair, never with the principal form, and takes the
+    # other by inversion (composing every coset element made 1547 calls)
+    counts = _count_calls(monkeypatch, numfield, ("_compose_raw",))
+    data = numfield._class_data.__wrapped__(-1000001)
+    assert data.invariants == (2, 516)
+    assert counts["_compose_raw"] == 517
+
+
+def test_narrow_class_group_walks_one_cycle_per_inverse_pair(monkeypatch):
+    # a work counter: h+ = 94; walking a cycle also labels its mirror, the
+    # cycle of the inverse class, so a class and its inverse cost one walk
+    # (one walk per class took 1668 steps)
+    counts = _count_calls(monkeypatch, numfield, ("_rho",))
+    data = numfield._class_data.__wrapped__(1000001)
+    assert data.narrow_invariants == (94,)
+    assert counts["_rho"] == 768
 
 
 @pytest.mark.parametrize("d, calls", [(-21, 3), (10, 4)])

@@ -113,7 +113,8 @@ def _expected_error(p, rel, tau):
     """The error new_cp_module must raise, by lattice membership of the
     columns of tau rel and of tau^p - 1 formed directly; None if valid."""
     def inside(mat):
-        return all(lattice_member(rel, mat.col(j)) is not None for j in range(mat.cols))
+        return all(lattice_member(rel, mat.entries[j::mat.cols]) is not None
+                   for j in range(mat.cols))
 
     if not inside(tau @ rel):
         return TauDoesNotDescend

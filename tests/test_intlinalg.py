@@ -41,7 +41,7 @@ def test_matrix_construction_and_access():
     assert (a.rows, a.cols) == (2, 3)
     assert a.at(1, 2) == 6
     assert a.row(0) == (1, 2, 3)
-    assert a.col(2) == (3, 6)
+    assert a.entries[2::a.cols] == (3, 6)
     assert a.transpose().to_rows() == [[1, 4], [2, 5], [3, 6]]
     b = IntMatrix.from_columns([[1, 4], [2, 5], [3, 6]], 2)
     assert a == b
@@ -132,7 +132,7 @@ def test_trusted_results_equal_checked_matrices():
                                       for j in range(k)] for i in range(m)]
         assert (a + b).to_rows() == [[x + y for x, y in zip(r, q)]
                                      for r, q in zip(a.to_rows(), b.to_rows())]
-        assert a.transpose().to_rows() == [list(a.col(j)) for j in range(n)]
+        assert a.transpose().to_rows() == [list(a.entries[j::n]) for j in range(n)]
         dec = snf(a)
         results = (product, a + b, a - b, -a, 3 * a, a * -2, a.transpose(), a.hstack(b),
                    sq.power(3), IntMatrix.identity(n), IntMatrix.zeros(m, k), dec.u, dec.v)

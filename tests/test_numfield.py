@@ -44,6 +44,7 @@ from cptate.numfield import (
     _indefinite_reduce,
     _principal_form,
     _relation_lattice,
+    _xgcd,
     factorize,
     is_prime,
     is_squarefree,
@@ -332,7 +333,8 @@ def test_class_group_structure_against_solution_counts():
 
 def narrow_class_group(D):
     """Classes of forms of discriminant D > 0 as the least forms of the
-    oracle's cycles, with the composition law on them."""
+    oracle's cycles, with the composition law, the inverse (a, -b, c) and
+    the identity on them."""
     sq = math.isqrt(D)
     label = {f: min(cycle) for cycle in oracle_cycles(D) for f in cycle}
 
@@ -340,13 +342,14 @@ def narrow_class_group(D):
         return label[_indefinite_reduce(f, D, sq)]
 
     classes = sorted(set(label.values()))
-    return classes, lambda x, y: cls(_compose_raw(x, y, D)), cls(_principal_form(D))
+    return (classes, lambda x, y: cls(_compose_raw(x, y, D)),
+            lambda x: cls((x[0], -x[1], x[2])), cls(_principal_form(D)))
 
 
 def test_narrow_class_group_structure_against_solution_counts():
     # the real-field twin of the test above, on the oracle's cycles
     for d in squarefree_range(2, 1000):
-        classes, op, e = narrow_class_group(quadratic_field(d).discriminant)
+        classes, op, _, e = narrow_class_group(quadratic_field(d).discriminant)
         check_structure_by_solution_counts(classes, op, e, _class_data(d).narrow_invariants,
                                            f"d = {d}")
 
@@ -360,17 +363,101 @@ def test_relation_lattice_coordinates_are_a_homomorphism(d):
 
         def op(x, y):
             return _definite_reduce(_compose_raw(x, y, D), D)
+
+        def inv(x):
+            return _definite_reduce((x[0], -x[1], x[2]), D)
     else:
-        classes, op, ident = narrow_class_group(D)
-    coords, rel = _relation_lattice(classes, op, ident)
+        classes, op, inv, ident = narrow_class_group(D)
+    coords, rel = _relation_lattice(classes, op, inv, ident)
     assert len(coords) == len(classes) == cokernel(rel).order
     for x in classes:
+        total = [a + b for a, b in zip(coords[x], coords[inv(x)])]
+        assert lattice_member(rel, total) is not None, x
         for y in classes:
             diff = [a - b - c for a, b, c in zip(coords[op(x, y)], coords[x], coords[y])]
             assert lattice_member(rel, diff) is not None, (x, y)
 
 
+def _invariant_chains(order_max, chain=(), order=1):
+    """Every chain n_1 | n_2 | ... of factors >= 2 with product <= order_max,
+    the empty chain included."""
+    yield chain
+    step = chain[-1] if chain else 1
+    for n in range(max(step, 2), order_max // order + 1, step):
+        yield from _invariant_chains(order_max, chain + (n,), order * n)
+
+
+def test_relation_lattice_on_abstract_abelian_groups():
+    # Z/n_1 x ... x Z/n_k as tuples, every element offered in a shuffled
+    # order; the diagonal of the triangular relations is each generator's
+    # order over the span before it
+    diagonals = set()
+    chains = list(_invariant_chains(64))
+    # one chain per abelian group of order <= 64: the sum over n of the
+    # product of the partition numbers of n's prime exponents
+    assert len(chains) == 117
+    for chain in chains:
+        k = len(chain)
+        elements = [()]
+        for n in chain:
+            elements = [x + (t,) for x in elements for t in range(n)]
+        random.Random(repr(chain)).shuffle(elements)
+
+        def op(x, y):
+            return tuple((a + b) % n for a, b, n in zip(x, y, chain))
+
+        def inv(x):
+            return tuple(-a % n for a, n in zip(x, chain))
+
+        coords, rel = _relation_lattice(elements, op, inv, (0,) * k)
+        assert cokernel(rel).invariant_factors == chain
+        assert len(coords) == len(elements)
+        diagonals.update(rel.at(j, j) for j in range(rel.rows))
+        # a map that is additive on every generator e_j is a homomorphism
+        units = [tuple(int(i == j) for i in range(k)) for j in range(k)]
+        for x in elements:
+            for y in units:
+                diff = [a - b - c for a, b, c in zip(coords[op(x, y)], coords[x], coords[y])]
+                assert lattice_member(rel, diff) is not None, (chain, x, y)
+    assert 2 in diagonals and 4 in diagonals and {3, 5, 7} <= diagonals
+
+
 # -- composition of definite forms ---------------------------------------------
+
+
+def _dirichlet_compose(f1, f2, D):
+    # the general formula through two extended gcds, the one path that
+    # _compose_raw had before its gcd(a1, a2) = 1 case
+    a1, b1, _ = f1
+    a2, b2, _ = f2
+    d1, u1, v1 = _xgcd(a1, a2)
+    d, u2, v2 = _xgcd(d1, (b1 + b2) // 2)
+    a3 = (a1 * a2) // (d * d)
+    b3 = (u2 * u1 * a1 * b2 + u2 * v1 * a2 * b1 + v2 * (b1 * b2 + D) // 2) // d
+    b3 %= 2 * abs(a3)
+    return (a3, b3, (b3 * b3 - D) // (4 * a3))
+
+
+@pytest.mark.parametrize("d", [-21, -26, -1365, -3299, -19999, 15, 79, 219, 2410, 15015])
+def test_composition_with_coprime_leading_coefficients(d):
+    D = quadratic_field(d).discriminant
+    if d < 0:
+        forms = oracle_forms_negative(D)
+
+        def cls(f):
+            return _definite_reduce(f, D)
+    else:
+        sq = math.isqrt(D)
+        label = {f: min(cycle) for cycle in oracle_cycles(D) for f in cycle}
+        forms = sorted(label)
+
+        def cls(f):
+            return label[_indefinite_reduce(f, D, sq)]
+    pairs = [(f, g) for f in forms for g in forms if math.gcd(f[0], g[0]) == 1]
+    assert any(abs(f[0]) > 1 and abs(g[0]) > 1 for f, g in pairs)
+    for f, g in pairs:
+        assert cls(_compose_raw(f, g, D)) == cls(_dirichlet_compose(f, g, D)), (f, g)
+
 
 
 @pytest.mark.parametrize("D", [-23, -47, -56, -71, -84])
