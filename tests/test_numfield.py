@@ -422,9 +422,6 @@ def test_relation_lattice_on_abstract_abelian_groups():
     assert 2 in diagonals and 4 in diagonals and {3, 5, 7} <= diagonals
 
 
-# -- composition of definite forms ---------------------------------------------
-
-
 def _dirichlet_compose(f1, f2, D):
     # the general formula through two extended gcds, the one path that
     # _compose_raw had before its gcd(a1, a2) = 1 case
@@ -458,6 +455,8 @@ def test_composition_with_coprime_leading_coefficients(d):
     for f, g in pairs:
         assert cls(_compose_raw(f, g, D)) == cls(_dirichlet_compose(f, g, D)), (f, g)
 
+
+# -- composition of definite forms ---------------------------------------------
 
 
 @pytest.mark.parametrize("D", [-23, -47, -56, -71, -84])
