@@ -6,13 +6,16 @@ d < 0, and cycles of reduced indefinite forms (narrow classes) for d > 0.
 The group is generated by the prime forms (p, b_p, *) with (D/p) != -1 and
 p <= sqrt(|D|/3) for d < 0, p <= isqrt(D)/2 for d > 0, the latter with
 (-1, b0, *); no list of all reduced forms is made. The structure comes
-from one relation lattice on the generators' classes through `cokernel`.
-The lattice composes one class of each inverse pair and takes the other
-as the class of (c, b, a); for d > 0 one walk of a cycle labels the
-inverse class's cycle too. The wide class group is the narrow group
-modulo the class of (-1, b0, *), one more relation column. The class
-module's cohomology is shared by fields whose class groups have one
-2-primary part. Fundamental units come from the
+from one relation lattice on the generators' classes through `cokernel`;
+it codes each class's coordinates as one int in a base of width 2|D|,
+which exceeds twice the class number. The lattice composes one class of
+each inverse pair and takes the other as the class of (c, b, a): for
+d < 0 in closed form, for d > 0 by a lookup, since one walk of a cycle,
+on int keys a M + b, labels the inverse class's cycle too, and a cycle
+that is its own mirror is walked halfway, between its two axes. The wide
+class group is the narrow group modulo the class of (-1, b0, *), one more
+relation column. The class module's cohomology is shared by fields whose
+class groups have one 2-primary part. Fundamental units come from the
 continued fraction of sqrt(d) through the Pell equation u^2 - d v^2 = +-4.
 Everything is exact; no floating point is used anywhere.
 """
@@ -143,11 +146,21 @@ class QuadraticField:
     discriminant: int
 
 
-def quadratic_field(d: int) -> QuadraticField:
+@lru_cache(maxsize=1024)
+def _prime_divisors(d: int) -> tuple:
+    """The primes dividing d, from the one factorization that checks d
+    gives a quadratic field. Memoised, since a field's class group,
+    ramification and unit each check d."""
     if d in (0, 1):
         raise NotSquareFree(f"d = {d} does not give a quadratic field")
-    if not is_squarefree(d):
+    factors = factorize(d)
+    if any(e > 1 for e in factors.values()):
         raise NotSquareFree(f"d = {d} is not square-free")
+    return tuple(factors)
+
+
+def quadratic_field(d: int) -> QuadraticField:
+    _prime_divisors(d)
     disc = d if d % 4 == 1 else 4 * d
     return QuadraticField(d=d, discriminant=disc)
 
@@ -162,11 +175,13 @@ class RamificationData:
 
 @lru_cache(maxsize=1024)
 def ramification(d: int) -> RamificationData:
-    """Ramified primes of Q(sqrt(d))/Q: divisors of the discriminant, plus
-    the archimedean place exactly when the field is imaginary. Memoised,
-    since every check of a field reads it."""
-    field = quadratic_field(d)
-    finite = tuple(sorted(factorize(field.discriminant)))
+    """Ramified primes of Q(sqrt(d))/Q: divisors of the discriminant, those
+    of d and 2 when D = 4d, plus the archimedean place exactly when the
+    field is imaginary. Memoised, since every check of a field reads it."""
+    primes = set(_prime_divisors(d))
+    if quadratic_field(d).discriminant % 2 == 0:
+        primes.add(2)
+    finite = tuple(sorted(primes))
     s_inf = 1 if d < 0 else 0
     return RamificationData(
         finite_ramified=finite, s0=len(finite), s_inf=s_inf, s=len(finite) + s_inf
@@ -268,6 +283,58 @@ def _indefinite_reduce(f, D, sq):
     raise ReductionLimit(f"D = {D}: form {f} not reduced after 10000 steps")
 
 
+def _definite_inverse(f):
+    """The reduced form of the inverse class of the reduced definite form
+    f = (a, b, c). The inverse class holds (a, -b, c), which is reduced
+    unless b = 0, b = a or a = c; then (a, -b, c) is equivalent to f, by
+    b -> b + 2a or by (a, b, c) -> (c, -b, a)."""
+    a, b, c = f
+    return (a, -b, c) if b and b != a and a != c else f
+
+
+def _walk_cycle(f, D, sq, M):
+    """Walk the cycle of the reduced indefinite form f, keying each form
+    (a, b, c) as a M + b with M > sq; as 0 < b <= sq, keys order like the
+    forms. Returns (keys, mirrors, ambiguous): the keys of the forms
+    visited, those of their mirrors (c, b, a), and whether the cycle is
+    its own mirror.
+
+    On reduced forms rho(a, b, c) = (c, r, (r^2 - D)/4c) with
+    r = sq - (sq + b) mod 2|c|, and rho^-1 = mirror rho mirror is
+    ((r^2 - D)/4a, r, a) with r = sq - (sq + b) mod 2|a|. So mirroring
+    reverses a cycle, onto the cycle of the inverse class, and fixes no
+    form, since ac < 0. An ambiguous cycle, equal to its mirror, therefore
+    has even length L and two axes: steps g -> rho(g) with rho(g) =
+    mirror(g), that is r = b. The walk goes forward from f until it meets
+    an axis or comes back to f. A cycle that closes without an axis is not
+    ambiguous: keys is the cycle and mirrors the inverse class's cycle. On
+    an ambiguous cycle the walk turns back at the axis and goes from f
+    with rho^-1 to the other axis; the L/2 forms visited lie between the
+    axes, and with their mirrors they make up the cycle. Each visited form
+    costs one rho or rho^-1, and f one more on an ambiguous cycle."""
+    a, b, c = f
+    keys, mirrors = [], []
+    k0 = k = a * M + b
+    while True:
+        keys.append(k)
+        mirrors.append(c * M + b)
+        r = sq - (sq + b) % (2 * abs(c))
+        if r == b:
+            break
+        a, b, c = c, r, (r * r - D) // (4 * c)
+        k = a * M + b
+        if k == k0:
+            return keys, mirrors, False
+    a, b, c = f
+    while True:
+        r = sq - (sq + b) % (2 * abs(a))
+        if r == b:
+            return keys, mirrors, True
+        a, b, c = (r * r - D) // (4 * a), r, a
+        keys.append(a * M + b)
+        mirrors.append(c * M + b)
+
+
 def _sqrt_mod_prime(n: int, p: int) -> int | None:
     """A square root of n modulo the odd prime p not dividing n, by
     Tonelli-Shanks, or None when n is not a square modulo p."""
@@ -322,7 +389,7 @@ def _prime_forms(D: int, bound: int) -> list:
 # -- generic structure of a finite abelian group given by a black box -------
 
 
-def _relation_lattice(elements, op, inv, identity):
+def _relation_lattice(elements, op, inv, identity, width):
     """Coordinates of every element on greedily chosen generators, and the
     generators' relations as matrix columns; the group is their cokernel.
 
@@ -340,26 +407,48 @@ def _relation_lattice(elements, op, inv, identity):
     coordinate map and are triangular with diagonal n_j, whose product is
     the group's order, so they generate that kernel. Each inverse pair
     costs one composition, and none composes with the identity.
+
+    Coordinates (c_0, ..., c_(k-1)) are stored as one int, the code
+    c_0 + c_1 W + ... + c_(k-1) W^(k-1) with W = width, so a coset adds
+    i W^k and the inverse coset negates; _decode reads the digits back,
+    here only those of each hit g^i. Every |c_j| < n_j, so the code is
+    exact when width >= 2 max n_j; the caller passes a width it can prove
+    that of (_class_data: 2|D| for a class group).
     """
-    coords = {identity: ()}
+    coords = {identity: 0}
     relations = []
+    unit = 1
     for g in elements:
         if g in coords:
             continue
-        span = [(x, c, tuple(-t for t in c)) for x, c in coords.items()]
-        coords = {x: c + (0,) for x, c, _ in span}
+        span = list(coords.items())
         power, i = g, 1
         while power not in coords:
-            for x, c, minus_c in span:
+            t = i * unit
+            for x, c in span:
                 y = power if x == identity else op(power, x)
-                coords[y] = c + (i,)
-                coords[inv(y)] = minus_c + (-i,)
+                coords[y] = c + t
+                coords[inv(y)] = -c - t
             power, i = op(power, g), i + 1
-        c = coords[power]
-        relations.append(tuple(-t for t in c[:-1]) + (i - c[-1],))
+        *c, e = _decode(coords[power], width, len(relations) + 1)
+        relations.append([-t for t in c] + [i - e])
+        unit *= width
     k = len(relations)
-    rel = IntMatrix.from_columns([r + (0,) * (k - len(r)) for r in relations], k)
+    rel = IntMatrix.from_columns([r + [0] * (k - len(r)) for r in relations], k)
     return coords, rel
+
+
+def _decode(code, width, k):
+    """The k digits of a _relation_lattice code in base width, each in the
+    balanced range -width/2 < c_j < width/2."""
+    digits = []
+    for _ in range(k):
+        r = code % width
+        if 2 * r > width:
+            r -= width
+        digits.append(r)
+        code = (code - r) // width
+    return digits
 
 
 # -- class groups -----------------------------------------------------------
@@ -425,56 +514,69 @@ def _class_data(d: int) -> ClassData:
     p <= isqrt(D)/2 and (-1, b0, *) generate the narrow group.
 
     cls_of names a form's class: its reduced form for d < 0, and for d > 0
-    the least form on its cycle. A cycle is walked the first time one of
-    its forms comes up, and its mirror {(c, b, a)}, the cycle of the
-    inverse class, is labelled with it, so a class and its inverse cost
-    one walk. The inverse of (a, b, c) is the
-    class of (c, b, a), equivalent to (a, -b, c), for both signs. The wide
-    group is the narrow group modulo the class of (-1, b0, *), that is the
-    cokernel of the same lattice plus that class's coordinates as one more
-    column."""
+    the least form on its cycle. The inverse of a class is the class of
+    (c, b, a), equivalent to (a, -b, c): for d < 0 _definite_inverse gives
+    its reduced form at once. For d > 0 one _walk_cycle labels a cycle and
+    its mirror, the cycle of the inverse class, so a class and its inverse
+    cost one walk and the inverse is the label of (c, b, a)'s key; a cycle
+    that is its own mirror is walked only from one axis to the other, half
+    its length.
+
+    The forms above bound the group's order, and so each n_j of the
+    lattice, by |D|: for d < 0 the pairs |b| <= a <= A = isqrt(|D|/3),
+    b = D (mod 2), number at most A(A + 3)/2 <= 2A^2 < |D|; for d > 0 the
+    pairs 0 < |a| < sqrt(D)/2, 0 < b < sqrt(D), b = D (mod 2), number at
+    most sqrt(D)(sqrt(D) + 1)/2 < D. Hence the lattice width 2|D|, and the
+    wide group's column is decoded from it. The wide group is the narrow
+    group modulo the class of (-1, b0, *), that is the cokernel of the
+    same lattice plus that class's coordinates as one more column."""
     D = quadratic_field(d).discriminant
+    width = 2 * abs(D)
     if d < 0:
         gens = _prime_forms(D, isqrt(-D // 3))
 
         def cls_of(form):
             return _definite_reduce(form, D)
+
+        inv = _definite_inverse
     else:
         sq = isqrt(D)
+        M = sq + 1
         b0 = D & 1
         neg = (-1, b0, (D - b0 * b0) // 4)
         gens = _prime_forms(D, sq // 2) + [neg]
         cycle_of = {}
 
+        def label(keys):
+            a, b = divmod(min(keys), M)
+            cycle_of.update(dict.fromkeys(keys, (a, b, (b * b - D) // (4 * a))))
+
         def cls_of(form):
             f = _indefinite_reduce(form, D, sq)
-            if f not in cycle_of:
-                orbit = [f]
-                g = _rho(f, D, sq)
-                while g != f:
-                    orbit.append(g)
-                    g = _rho(g, D, sq)
-                cycle_of.update(dict.fromkeys(orbit, min(orbit)))
-                a, b, c = f
-                if (c, b, a) not in cycle_of:
-                    mirror = [(c, b, a) for a, b, c in orbit]
-                    cycle_of.update(dict.fromkeys(mirror, min(mirror)))
-            return cycle_of[f]
+            key = f[0] * M + f[1]
+            if key not in cycle_of:
+                keys, mirrors, ambiguous = _walk_cycle(f, D, sq, M)
+                if ambiguous:
+                    label(keys + mirrors)
+                else:
+                    label(keys)
+                    label(mirrors)
+            return cycle_of[key]
+
+        def inv(x):
+            return cycle_of[x[2] * M + x[1]]
 
     def op(x, y):
         return cls_of(_compose_raw(x, y, D))
 
-    def inv(x):
-        a, b, c = x
-        return cls_of((c, b, a))
-
     ident = cls_of(_principal_form(D))
-    coords, rel = _relation_lattice(map(cls_of, gens), op, inv, ident)
+    coords, rel = _relation_lattice(map(cls_of, gens), op, inv, ident, width)
     narrow = cokernel(rel)
     if d < 0:
         return _class_record(d, D, narrow.invariant_factors, narrow.order, None, None, None)
     neg = cls_of(neg)
-    wide = cokernel(rel.hstack(IntMatrix.from_columns([coords[neg]], rel.rows)))
+    column = _decode(coords[neg], width, rel.rows)
+    wide = cokernel(rel.hstack(IntMatrix.from_columns([column], rel.rows)))
     return _class_record(d, D, wide.invariant_factors, wide.order,
                          narrow.invariant_factors, narrow.order, neg == ident)
 

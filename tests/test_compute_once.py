@@ -89,25 +89,36 @@ def test_class_group_composes_once_per_inverse_pair(monkeypatch):
 
 def test_narrow_class_group_walks_one_cycle_per_inverse_pair(monkeypatch):
     # a work counter: h+ = 94; walking a cycle also labels its mirror, the
-    # cycle of the inverse class, so a class and its inverse cost one walk
-    # (one walk per class took 1668 steps)
+    # cycle of the inverse class, so a class and its inverse cost one walk,
+    # and a cycle that is its own mirror is walked halfway. A walk takes a
+    # step per form it visits and one more on such a cycle (full walks took
+    # 576 steps); the 192 rho steps are reductions
+    steps = Counter()
+    walk = numfield._walk_cycle
+
+    def counted(*args):
+        keys, mirrors, ambiguous = walk(*args)
+        steps["walk"] += len(keys) + ambiguous
+        return keys, mirrors, ambiguous
+
+    monkeypatch.setattr(numfield, "_walk_cycle", counted)
     counts = _count_calls(monkeypatch, numfield, ("_rho",))
     data = numfield._class_data.__wrapped__(1000001)
     assert data.narrow_invariants == (94,)
-    assert counts["_rho"] == 768
+    assert steps["walk"] == 568
+    assert counts["_rho"] == 192
 
 
-@pytest.mark.parametrize("d, calls", [(-21, 3), (10, 4)])
-def test_field_report_factors_d_a_bounded_number_of_times(monkeypatch, d, calls):
+@pytest.mark.parametrize("d", [-21, 10])
+def test_field_report_factors_d_a_bounded_number_of_times(monkeypatch, d):
     # once the unit module of each sign is cached, a new field factors d
-    # for its class group and its ramification, D for its ramification
-    # and, when d > 0, d again for its fundamental unit
+    # once: its class group, ramification and unit share that check
     _clear_caches()
     numfield.field_report(-1)
     numfield.field_report(2)
     counts = _count_calls(monkeypatch, numfield, ("factorize",))
     numfield.field_report(d)
-    assert counts["factorize"] == calls
+    assert counts["factorize"] == 1
 
 
 @pytest.mark.parametrize("make, args", CASES, ids=CASE_IDS)

@@ -40,10 +40,13 @@ from cptate.numfield import (
     HEEGNER_DS,
     _class_data,
     _compose_raw,
+    _decode,
+    _definite_inverse,
     _definite_reduce,
     _indefinite_reduce,
     _principal_form,
     _relation_lattice,
+    _walk_cycle,
     _xgcd,
     factorize,
     is_prime,
@@ -354,6 +357,45 @@ def test_narrow_class_group_structure_against_solution_counts():
                                            f"d = {d}")
 
 
+def test_walk_labels_each_cycle_and_its_mirror_in_half_a_cycle():
+    # the walk returns the cycle and its mirror, the inverse class's cycle;
+    # on a cycle that is its own mirror it visits half the forms, taking
+    # one more step at the start, wherever on the cycle it starts
+    for d in squarefree_range(2, 3000):
+        D = quadratic_field(d).discriminant
+        sq = math.isqrt(D)
+        M = sq + 1
+        for cycle in oracle_cycles(D):
+            forms = {a * M + b for a, b, _ in cycle}
+            mirror = {c * M + b for a, b, c in cycle}
+            L = len(cycle)
+            for f in cycle if mirror == forms else cycle[:1]:
+                keys, mirrors, ambiguous = _walk_cycle(f, D, sq, M)
+                assert ambiguous == (mirror == forms), (d, f)
+                if ambiguous:
+                    assert len(keys) + 1 <= L // 2 + 1, (d, f)
+                    assert set(keys + mirrors) == forms, (d, f)
+                else:
+                    assert len(keys) == L, (d, f)
+                    assert set(keys) == forms and set(mirrors) == mirror, (d, f)
+                # keys order like forms, so the least key names the least form
+                a, b = divmod(min(keys + mirrors) if ambiguous else min(keys), M)
+                assert (a, b) == min(cycle)[:2], (d, f)
+
+
+def test_definite_inverse_is_the_reduced_mirror():
+    # every reduced form of every fundamental discriminant -20000 <= D < 0
+    count = 0
+    for d in squarefree_range(-20000, -1):
+        D = quadratic_field(d).discriminant
+        if D < -20000:
+            continue
+        for a, b, c in oracle_forms_negative(D):
+            assert _definite_inverse((a, b, c)) == _definite_reduce((c, b, a), D), (D, a, b, c)
+            count += 1
+    assert count > 250000
+
+
 @pytest.mark.parametrize("d", [-14, -1365, -3299, 15, 219, 2410, 15015])
 def test_relation_lattice_coordinates_are_a_homomorphism(d):
     D = quadratic_field(d).discriminant
@@ -368,13 +410,18 @@ def test_relation_lattice_coordinates_are_a_homomorphism(d):
             return _definite_reduce((x[0], -x[1], x[2]), D)
     else:
         classes, op, inv, ident = narrow_class_group(D)
-    coords, rel = _relation_lattice(classes, op, inv, ident)
-    assert len(coords) == len(classes) == cokernel(rel).order
+    width = 2 * abs(D)
+    codes, rel = _relation_lattice(classes, op, inv, ident, width)
+    assert len(codes) == len(classes) == cokernel(rel).order
+
+    def coords(x):
+        return _decode(codes[x], width, rel.rows)
+
     for x in classes:
-        total = [a + b for a, b in zip(coords[x], coords[inv(x)])]
+        total = [a + b for a, b in zip(coords(x), coords(inv(x)))]
         assert lattice_member(rel, total) is not None, x
         for y in classes:
-            diff = [a - b - c for a, b, c in zip(coords[op(x, y)], coords[x], coords[y])]
+            diff = [a - b - c for a, b, c in zip(coords(op(x, y)), coords(x), coords(y))]
             assert lattice_member(rel, diff) is not None, (x, y)
 
 
@@ -388,38 +435,50 @@ def _invariant_chains(order_max, chain=(), order=1):
 
 
 def test_relation_lattice_on_abstract_abelian_groups():
-    # Z/n_1 x ... x Z/n_k as tuples, every element offered in a shuffled
+    # Z/m_1 x ... x Z/m_k as tuples, every element offered in a shuffled
     # order; the diagonal of the triangular relations is each generator's
-    # order over the span before it
+    # order over the span before it. The width is twice the exponent,
+    # which bounds every such order; Z/2 x Z/997, that is Z/1994, takes
+    # its first generator's coordinates down to -997, so the balanced
+    # decoding meets digits far below zero
     diagonals = set()
     chains = list(_invariant_chains(64))
     # one chain per abelian group of order <= 64: the sum over n of the
     # product of the partition numbers of n's prime exponents
     assert len(chains) == 117
-    for chain in chains:
-        k = len(chain)
+    least = 0
+    for moduli, invariants in [(c, c) for c in chains] + [((2, 997), (1994,))]:
+        width = 2 * max(invariants, default=1)
         elements = [()]
-        for n in chain:
-            elements = [x + (t,) for x in elements for t in range(n)]
-        random.Random(repr(chain)).shuffle(elements)
+        for m in moduli:
+            elements = [x + (t,) for x in elements for t in range(m)]
+        random.Random(repr(moduli)).shuffle(elements)
 
         def op(x, y):
-            return tuple((a + b) % n for a, b, n in zip(x, y, chain))
+            return tuple((a + b) % m for a, b, m in zip(x, y, moduli))
 
         def inv(x):
-            return tuple(-a % n for a, n in zip(x, chain))
+            return tuple(-a % m for a, m in zip(x, moduli))
 
-        coords, rel = _relation_lattice(elements, op, inv, (0,) * k)
-        assert cokernel(rel).invariant_factors == chain
-        assert len(coords) == len(elements)
+        codes, rel = _relation_lattice(elements, op, inv, (0,) * len(moduli), width)
+        assert cokernel(rel).invariant_factors == invariants
+        assert len(codes) == len(elements)
         diagonals.update(rel.at(j, j) for j in range(rel.rows))
+
+        def coords(x):
+            return _decode(codes[x], width, rel.rows)
+
         # a map that is additive on every generator e_j is a homomorphism
-        units = [tuple(int(i == j) for i in range(k)) for j in range(k)]
+        units = [tuple(int(i == j) for i in range(len(moduli))) for j in range(len(moduli))]
         for x in elements:
+            c = coords(x)
+            assert sum(t * width ** j for j, t in enumerate(c)) == codes[x], (moduli, x)
+            least = min([least, *c])
             for y in units:
-                diff = [a - b - c for a, b, c in zip(coords[op(x, y)], coords[x], coords[y])]
-                assert lattice_member(rel, diff) is not None, (chain, x, y)
+                diff = [a - b - e for a, b, e in zip(coords(op(x, y)), c, coords(y))]
+                assert lattice_member(rel, diff) is not None, (moduli, x, y)
     assert 2 in diagonals and 4 in diagonals and {3, 5, 7} <= diagonals
+    assert least == -997
 
 
 def _dirichlet_compose(f1, f2, D):
