@@ -12,9 +12,17 @@ All public values are immutable.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass, field
-from itertools import chain
-from operator import mod, mul
+from itertools import chain, repeat
+from operator import add, mod, mul, neg, sub
+
+# IntMatrix.__matmul__ packs rows into 64-bit digits of one int when its
+# result and its right factor stay below this bound in magnitude
+_DIGIT_BOUND = 1 << 62
+_ORDER = sys.byteorder  # array's byte order
+_TOP_BIT = array("Q", [1 << 63]).tobytes()
 
 
 class DimensionMismatch(ValueError):
@@ -150,38 +158,58 @@ class IntMatrix:
     # -- arithmetic ---------------------------------------------------
 
     def __matmul__(self, other):
+        """Exact product. Each row of other is packed into one int with a
+        64-bit digit per entry (Kronecker substitution), so row i of the
+        result is one multiply-accumulate of row i of self against the
+        packed rows, and its digits are read back through an array. The
+        digits are exact while max|b| < 2^62 and n max|a| max|b| < 2^62,
+        which keep every packed and every result entry below 2^63; a
+        product outside that bound takes one dot product per entry."""
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        n = self.cols
-        rows = [self.entries[i * n:(i + 1) * n] for i in range(self.rows)]
-        cols = [other.entries[j::other.cols] for j in range(other.cols)]
-        return IntMatrix._of(self.rows, other.cols, tuple(
-            sum(map(mul, r, c)) for r in rows for c in cols))
+        m, n, p = self.rows, self.cols, other.cols
+        a, b = self.entries, other.entries
+        rows = [a[i * n:(i + 1) * n] for i in range(m)]
+        b_max = max(max(b), -min(b)) if b else 0
+        if b_max >= _DIGIT_BOUND or a and n * max(max(a), -min(a)) * b_max >= _DIGIT_BOUND:
+            cols = [b[j::p] for j in range(p)]
+            return IntMatrix._of(m, p, tuple(sum(map(mul, r, c)) for r in rows for c in cols))
+        # adding the bias puts every digit in [0, 2^64), so no digit
+        # carries; xor with it maps between that and two's complement
+        width = 8 * p
+        bias = int.from_bytes(_TOP_BIT * p, _ORDER)
+        packed_b = array("q", b).tobytes()
+        packed = [(int.from_bytes(packed_b[k * width:(k + 1) * width], _ORDER) ^ bias) - bias
+                  for k in range(n)]
+        return IntMatrix._of(m, p, tuple(array("q", b"".join([
+            ((sum(map(mul, r, packed)) + bias) ^ bias).to_bytes(width, _ORDER) for r in rows]))))
+
+    def _entrywise(self, other, op):
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise DimensionMismatch("shape mismatch in addition")
+        return IntMatrix._of(self.rows, self.cols, tuple(map(op, self.entries, other.entries)))
 
     def __add__(self, other):
         if not isinstance(other, IntMatrix):
             return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("shape mismatch in addition")
-        return IntMatrix._of(self.rows, self.cols,
-                             tuple(x + y for x, y in zip(self.entries, other.entries)))
+        return self._entrywise(other, add)
 
     def __sub__(self, other):
         if not isinstance(other, IntMatrix):
             return NotImplemented
-        return self + (-other)
+        return self._entrywise(other, sub)
 
     def __neg__(self):
-        return IntMatrix._of(self.rows, self.cols, tuple(-x for x in self.entries))
+        return IntMatrix._of(self.rows, self.cols, tuple(map(neg, self.entries)))
 
     def __mul__(self, scalar):
         if not isinstance(scalar, int):
             return NotImplemented
-        return IntMatrix._of(self.rows, self.cols, tuple(scalar * x for x in self.entries))
+        return IntMatrix._of(self.rows, self.cols, tuple(map(mul, repeat(scalar), self.entries)))
 
     __rmul__ = __mul__
 
@@ -346,8 +374,11 @@ def snf(a: IntMatrix) -> SmithDecomposition:
                     break
             if restart:
                 continue
-            # pivot cleared; enforce that it divides the rest of the block
+            # pivot cleared; enforce that it divides the rest of the block,
+            # which a unit pivot does
             d = s[t][t]
+            if d == 1:
+                break
             bad_row = None
             for i in range(t + 1, m):
                 if any(x % d for x in s[i][t + 1:]):

@@ -92,21 +92,6 @@ def is_squarefree(n: int) -> bool:
     return all(e == 1 for e in factorize(n).values())
 
 
-def _xgcd(a: int, b: int):
-    """(g, x, y) with a x + b y = g = gcd(a, b) >= 0."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        return -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
-
-
 def kronecker(a: int, n: int) -> int:
     """Kronecker symbol (a | n), extending the Jacobi symbol to all n."""
     if n == 0:
@@ -219,14 +204,21 @@ def _compose_raw(f1, f2, D):
     (mod |a1|) is that solution; otherwise the general formula runs."""
     a1, b1, _ = f1
     a2, b2, _ = f2
-    if gcd(a1, a2) == 1:
+    d1 = gcd(a1, a2)
+    if d1 == 1:
         a3 = a1 * a2
         m = abs(a1)
         b3 = (b2 + 2 * a2 * ((b1 - b2) // 2 * pow(a2, -1, m) % m)) % (2 * abs(a3))
         return (a3, b3, (b3 * b3 - D) // (4 * a3))
+    # Bezout: u1 a1 + v1 a2 = d1 and u2 d1 + v2 s = d, from inverses of
+    # the cofactors (pow(x, -1, 1) is 0); b3 is unique modulo 2 a3, so any
+    # coefficients give the same form
     s = (b1 + b2) // 2
-    d1, u1, v1 = _xgcd(a1, a2)
-    d, u2, v2 = _xgcd(d1, s)
+    u1 = pow(a1 // d1, -1, abs(a2) // d1)
+    v1 = (d1 - u1 * a1) // a2
+    d = gcd(d1, s)
+    v2 = pow(s // d, -1, d1 // d)
+    u2 = (d - v2 * s) // d1
     a3 = (a1 * a2) // (d * d)
     b3 = (u2 * u1 * a1 * b2 + u2 * v1 * a2 * b1 + v2 * (b1 * b2 + D) // 2) // d
     b3 %= 2 * abs(a3)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -150,6 +151,16 @@ def test_examples_json(capsys):
         for v in entry["verdicts"].values():
             assert v["matches_expected"] is True
     assert doc["summary"]["checks_failed"] == 0
+
+
+def test_examples_json_is_pinned_byte_for_byte(capsys):
+    code, out, _ = run(capsys, ["examples", "--p", "2,3,5,7", "--n-max", "8",
+                                "--format", "json"])
+    assert code == 0
+    kept = "".join(line for line in out.splitlines(keepends=True)
+                   if '"elapsed_seconds"' not in line)
+    assert hashlib.sha256(kept.encode()).hexdigest() == (
+        "34188ffada95479148c4e4673cc17b646603d0bf178a1adeb0ca4dc6da14f2f4")
 
 
 def test_examples_empty_prime_list(capsys):

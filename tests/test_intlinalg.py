@@ -67,6 +67,8 @@ def test_matrix_shape_errors():
         a @ b
     with pytest.raises(DimensionMismatch):
         a + IntMatrix.identity(3)
+    with pytest.raises(DimensionMismatch, match="shape mismatch in addition"):
+        a - IntMatrix.identity(3)
     with pytest.raises(DimensionMismatch):
         IntMatrix.from_rows([[1, 2], [3]])
     with pytest.raises(TypeError):
@@ -138,6 +140,59 @@ def test_trusted_results_equal_checked_matrices():
                    sq.power(3), IntMatrix.identity(n), IntMatrix.zeros(m, k), dec.u, dec.v)
         for got in results:
             _assert_same_as_checked(got)
+
+
+# -- products -----------------------------------------------------------------
+
+
+def _assert_product(a, b):
+    got = a @ b
+    assert (got.rows, got.cols) == (a.rows, b.cols)
+    assert got.entries == tuple(sum(a.at(i, k) * b.at(k, j) for k in range(a.cols))
+                                for i in range(a.rows) for j in range(b.cols))
+    _assert_same_as_checked(got)
+
+
+def _random_entries(rng, rows, cols, bits):
+    return IntMatrix(rows, cols, tuple(rng.randint(-(1 << bits), 1 << bits)
+                                       for _ in range(rows * cols)))
+
+
+def test_products_of_every_shape_up_to_24():
+    rng = random.Random(14)
+    for _ in range(120):
+        m, n, p = rng.randint(0, 24), rng.randint(0, 24), rng.randint(0, 24)
+        bits = rng.choice((1, 8, 16, 26))
+        _assert_product(_random_entries(rng, m, n, bits), _random_entries(rng, n, p, bits))
+    for n in range(25):
+        _assert_product(_random_entries(rng, n, n, 16), _random_entries(rng, n, n, 16))
+
+
+@pytest.mark.parametrize("n, a_max, b_max", [
+    (1, 1, (1 << 62) - 1), (1, 1, 1 << 62),
+    (3, 2147483647, 715827883), (1, 2147483647, 2147483649),  # 2^62 - 1
+    (2, 1 << 31, 1 << 30), (1, 1 << 31, 1 << 31),  # 2^62
+    (1, 1, (1 << 63) - 1), (2, (1 << 63) - 1, 1), (4, (1 << 63) - 1, (1 << 63) - 1),
+])
+def test_products_at_the_edge_of_the_digit_bound(n, a_max, b_max):
+    # entries of the result reach +-n a_max b_max
+    a = IntMatrix.from_rows([[a_max] * n, [-a_max] * n, [a_max, -a_max] * (n // 2) + [0] * (n % 2)])
+    b = IntMatrix.from_rows([[b_max, -b_max, (-1) ** k * b_max] for k in range(n)])
+    _assert_product(a, b)
+    assert (a @ b).at(0, 0) == n * a_max * b_max
+    _assert_product(b.transpose(), a.transpose())
+
+
+def test_products_with_long_entries():
+    rng = random.Random(200)
+    for _ in range(20):
+        m, n, p = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+        long_a, long_b = _random_entries(rng, m, n, 200), _random_entries(rng, n, p, 200)
+        _assert_product(long_a, long_b)
+        _assert_product(IntMatrix.zeros(m, n), long_b)
+        _assert_product(long_a, IntMatrix.zeros(n, p))
+        _assert_product(_random_entries(rng, m, n, 4), long_b)
+        _assert_product(long_a, _random_entries(rng, n, p, 4))
 
 
 @settings(max_examples=60, deadline=None)

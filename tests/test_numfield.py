@@ -46,8 +46,8 @@ from cptate.numfield import (
     _indefinite_reduce,
     _principal_form,
     _relation_lattice,
+    _prime_forms,
     _walk_cycle,
-    _xgcd,
     factorize,
     is_prime,
     is_squarefree,
@@ -481,6 +481,22 @@ def test_relation_lattice_on_abstract_abelian_groups():
     assert least == -997
 
 
+def _xgcd(a, b):
+    # (g, x, y) with a x + b y = g = gcd(a, b) >= 0, by the extended
+    # Euclidean algorithm that _compose_raw once ran
+    old_r, r = a, b
+    old_x, x = 1, 0
+    old_y, y = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_x, x = x, old_x - q * x
+        old_y, y = y, old_y - q * y
+    if old_r < 0:
+        return -old_r, -old_x, -old_y
+    return old_r, old_x, old_y
+
+
 def _dirichlet_compose(f1, f2, D):
     # the general formula through two extended gcds, the one path that
     # _compose_raw had before its gcd(a1, a2) = 1 case
@@ -513,6 +529,27 @@ def test_composition_with_coprime_leading_coefficients(d):
     assert any(abs(f[0]) > 1 and abs(g[0]) > 1 for f, g in pairs)
     for f, g in pairs:
         assert cls(_compose_raw(f, g, D)) == cls(_dirichlet_compose(f, g, D)), (f, g)
+
+
+def test_composition_with_common_factors_matches_the_extended_gcd_formula():
+    # b3 is unique modulo 2|a3|, so the Bezout coefficients from modular
+    # inverses give the very form the extended-gcd ones give
+    pairs = []
+    for d in squarefree_range(-400, 400):
+        D = quadratic_field(d).discriminant
+        forms = oracle_forms_negative(D) if d < 0 else [f for c in oracle_cycles(D) for f in c]
+        pairs += [(f, g, D) for f in forms for g in forms if math.gcd(f[0], g[0]) > 1]
+    for d in (-1000001, -1000005, 1000003, 1000005, -4999999, 4999997):
+        D = quadratic_field(d).discriminant
+        primes = _prime_forms(D, 60)
+        products = [_compose_raw(f, g, D) for f in primes for g in primes]
+        pairs += [(f, g, D) for f in primes + products for g in primes
+                  if math.gcd(f[0], g[0]) > 1]
+    assert len(pairs) > 5000
+    assert any((f[1] + g[1]) // 2 == 0 for f, g, _ in pairs)
+    assert any(f[0] < 0 and g[0] < 0 for f, g, _ in pairs)
+    for f, g, D in pairs:
+        assert _compose_raw(f, g, D) == _dirichlet_compose(f, g, D), (f, g, D)
 
 
 # -- composition of definite forms ---------------------------------------------
