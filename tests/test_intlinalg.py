@@ -169,14 +169,16 @@ def test_products_of_every_shape_up_to_24():
 
 
 @pytest.mark.parametrize("n, a_max, b_max", [
-    (1, 1, (1 << 62) - 1), (1, 1, 1 << 62),
-    (3, 2147483647, 715827883), (1, 2147483647, 2147483649),  # 2^62 - 1
-    (2, 1 << 31, 1 << 30), (1, 1 << 31, 1 << 31),  # 2^62
+    # n a_max b_max = 2^62 - 1 = 3 * 715827883 * 2147483647, the largest packed
+    (1, 1, (1 << 62) - 1), (3, 2147483647, 715827883), (1, 2147483647, 2147483649),
+    # n a_max b_max = 2^62, the smallest that takes dot products
+    (1, 1, 1 << 62), (2, 1 << 31, 1 << 30), (1, 1 << 31, 1 << 31),
     (1, 1, (1 << 63) - 1), (2, (1 << 63) - 1, 1), (4, (1 << 63) - 1, (1 << 63) - 1),
 ])
 def test_products_at_the_edge_of_the_digit_bound(n, a_max, b_max):
     # entries of the result reach +-n a_max b_max
-    a = IntMatrix.from_rows([[a_max] * n, [-a_max] * n, [a_max, -a_max] * (n // 2) + [0] * (n % 2)])
+    a = IntMatrix.from_rows([[a_max] * n, [-a_max] * n,
+                             [a_max, -a_max] * (n // 2) + [0] * (n % 2)])
     b = IntMatrix.from_rows([[b_max, -b_max, (-1) ** k * b_max] for k in range(n)])
     _assert_product(a, b)
     assert (a @ b).at(0, 0) == n * a_max * b_max

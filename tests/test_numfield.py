@@ -44,9 +44,9 @@ from cptate.numfield import (
     _definite_inverse,
     _definite_reduce,
     _indefinite_reduce,
+    _prime_forms,
     _principal_form,
     _relation_lattice,
-    _prime_forms,
     _walk_cycle,
     factorize,
     is_prime,
