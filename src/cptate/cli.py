@@ -28,6 +28,16 @@ class RunSummary:
     counterexamples: list = field(default_factory=list)
     elapsed: float = 0.0
 
+    def record(self, key, name, passed, lhs, rhs) -> bool:
+        """Count one check; a failed one also joins the counterexamples.
+        Returns passed."""
+        if passed:
+            self.checks_passed += 1
+        else:
+            self.checks_failed += 1
+            self.counterexamples.append((key, name, lhs, rhs))
+        return passed
+
     def to_dict(self) -> dict:
         return {
             "fields_checked": self.fields_checked,
@@ -76,13 +86,7 @@ def _tally_field(payload: dict, summary: RunSummary) -> bool:
     bad = False
     for name in _CHECK_ORDER:
         c = payload["checks"][name]
-        if c is None:
-            continue
-        if c["pass"]:
-            summary.checks_passed += 1
-        else:
-            summary.checks_failed += 1
-            summary.counterexamples.append((payload["d"], name, c["lhs"], c["rhs"]))
+        if c is not None and not summary.record(payload["d"], name, c["pass"], c["lhs"], c["rhs"]):
             bad = True
     return bad
 
@@ -116,9 +120,12 @@ def cmd_verify_quadratic(args) -> int:
 
     start = time.perf_counter()
     executor = None
-    if args.jobs > 1 and eligible:
-        executor = ProcessPoolExecutor(max_workers=args.jobs)
-        chunk = max(1, len(eligible) // (args.jobs * 4))
+    # the executor forks every worker at the first submit, so it gets no
+    # more than there are fields
+    workers = min(args.jobs, len(eligible))
+    if workers > 1:
+        executor = ProcessPoolExecutor(max_workers=workers)
+        chunk = max(1, len(eligible) // (workers * 4))
         payloads = executor.map(_field_payload, eligible, chunksize=chunk)
     else:
         payloads = map(_field_payload, eligible)
@@ -160,6 +167,9 @@ def _verdict_status(v) -> str:
 
 
 def cmd_examples(args) -> int:
+    if not args.p:
+        print("error: --p needs at least one prime", file=sys.stderr)
+        return 2
     for q in args.p:
         if not is_prime(q):
             print(f"error: --p entry {q} is not prime", file=sys.stderr)
@@ -181,12 +191,9 @@ def cmd_examples(args) -> int:
             for name, v in verdicts.items():
                 exp_met, exp_out = expected[name]
                 actual_out = v.passed if v.hypotheses_met else v.bare_holds
-                okay = v.hypotheses_met == exp_met and actual_out == exp_out
-                if okay:
-                    summary.checks_passed += 1
-                else:
-                    summary.checks_failed += 1
-                    summary.counterexamples.append((e.name, name, v.lhs, v.rhs))
+                okay = summary.record(e.name, name,
+                                      v.hypotheses_met == exp_met and actual_out == exp_out,
+                                      v.lhs, v.rhs)
                 d = mfld.verdict_to_dict(v)
                 d["matches_expected"] = okay
                 entry["verdicts"][name] = d
@@ -322,12 +329,7 @@ def cmd_verify_cubic(args) -> int:
                     break
                 continue
             summary.fields_checked += 1
-            if verdict.passed:
-                summary.checks_passed += 1
-            else:
-                summary.checks_failed += 1
-                summary.counterexamples.append(
-                    (item.conductor, "cubic_rank", verdict.lhs, verdict.rhs))
+            summary.record(item.conductor, "cubic_rank", verdict.passed, verdict.lhs, verdict.rhs)
             invs = ";".join(map(str, item.invariants)) or "(trivial)"
             print(f"conductor={item.conductor:<6} Cl invariants={invs:<12} "
                   f"rank3={verdict.lhs} >= s-1={verdict.rhs}: "

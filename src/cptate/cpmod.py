@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain
 from math import gcd
-from operator import mul
 
 from .intlinalg import (
     FgAbGroup,
@@ -152,21 +151,17 @@ def _order_fails_mod(rel_dec, tau: IntMatrix, p: int) -> bool:
     m, rank = tau.rows, rel_dec.rank
     ell = rel_dec.diagonal[rank - 1] if rank == m else _RESIDUE_PRIME
 
-    def product(a, b):
-        cols = list(zip(*b))
-        return [[sum(map(mul, r, c)) % ell for c in cols] for r in a]
+    def residues(a):
+        return IntMatrix._of(m, m, tuple(x % ell for x in a.entries))
 
-    base = [[x % ell for x in tau.row(i)] for i in range(m)]
-    power = base
+    base = power = residues(tau)
     for bit in bin(p)[3:]:
-        power = product(power, power)
+        power = residues(power @ power)
         if bit == "1":
-            power = product(power, base)
-    for i in range(m):
-        power[i][i] -= 1
+            power = residues(power @ base)
+    y = rel_dec.u @ (power - IntMatrix.identity(m))
     mods = [gcd(d, ell) for d in rel_dec.diagonal[:rank]] + [ell] * (m - rank)
-    return any(x % g for row, g in zip(product(rel_dec.u.to_rows(), power), mods)
-               for x in row)
+    return any(x % g for i, g in enumerate(mods) for x in y.row(i))
 
 
 def new_cp_module(p: int, relations: IntMatrix, tau: IntMatrix) -> CpModule:

@@ -298,103 +298,73 @@ def _find_pivot(s, t, m, n):
 def snf(a: IntMatrix) -> SmithDecomposition:
     """Smith normal form by elimination with minimal-|pivot| selection.
 
-    Every row operation on s is mirrored on u and every column operation
-    on v, so u @ a @ v == s holds at every step; the final s is diagonal,
-    nonnegative, with each entry dividing the next.
+    Each pivot alternates two phases until its row and column are clear
+    (Cohen, Algorithm 2.4.14): row operations reduce column t below the
+    pivot, then column operations reduce row t, and each phase swaps its
+    least nonzero remainder into the pivot. Once column t is clear it is
+    s[t][t] e_t, as earlier pivots cleared their rows, so
+    col_k -= q col_t changes s only at [t][k]; it is mirrored as
+    row_k -= q row_t on w = v^T, which is transposed into v at the end.
+    Row operations are mirrored on u, so u @ a @ v == s holds at every
+    step; the final s is diagonal, nonnegative, with each entry dividing
+    the next.
     """
     m, n = a.rows, a.cols
     s = a.to_rows()
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def row_swap(i, j):
-        s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
-
-    def row_sub(i, j, q):
-        # row i -= q * row j
-        if q == 0:
-            return
-        s[i] = [x - q * y for x, y in zip(s[i], s[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def row_neg(i):
-        s[i] = [-x for x in s[i]]
-        u[i] = [-x for x in u[i]]
-
-    def col_swap(i, j):
-        for r in s:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    def col_sub(i, j, q):
-        # col i -= q * col j
-        if q == 0:
-            return
-        for r in s:
-            r[i] -= q * r[j]
-        for r in v:
-            r[i] -= q * r[j]
-
-    t = 0
-    while t < min(m, n):
+    w = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for t in range(min(m, n)):
         piv = _find_pivot(s, t, m, n)
         if piv is None:
             break
         i, j = piv
-        if i != t:
-            row_swap(t, i)
-        if j != t:
-            col_swap(t, j)
-
+        if s[i][j] < 0:
+            s[i] = [-x for x in s[i]]
+            u[i] = [-x for x in u[i]]
         while True:
-            if s[t][t] < 0:
-                row_neg(t)
-            restart = False
-            for i in range(t + 1, m):
-                if s[i][t] == 0:
-                    continue
-                q, r = divmod(s[i][t], s[t][t])
-                row_sub(i, t, q)
-                if r:
-                    row_swap(t, i)  # strictly smaller pivot
-                    restart = True
-                    break
-            if restart:
+            # bring row i and column j to the pivot; rows above t are zero
+            # in both columns, and every remainder of a positive pivot is
+            # positive
+            s[t], s[i] = s[i], s[t]
+            u[t], u[i] = u[i], u[t]
+            if j != t:
+                for r in s[t:]:
+                    r[t], r[j] = r[j], r[t]
+                w[t], w[j] = w[j], w[t]
+            row, urow, d = s[t], u[t], s[t][t]
+            i = j = t
+            for k in range(t + 1, m):
+                q = s[k][t] // d
+                if q:
+                    s[k] = [x - q * y for x, y in zip(s[k], row)]
+                    u[k] = [x - q * y for x, y in zip(u[k], urow)]
+                if s[k][t] and (i == t or s[k][t] < s[i][t]):
+                    i = k
+            if i != t:
                 continue
-            for j in range(t + 1, n):
-                if s[t][j] == 0:
-                    continue
-                q, r = divmod(s[t][j], s[t][t])
-                col_sub(j, t, q)
-                if r:
-                    col_swap(t, j)
-                    restart = True
-                    break
-            if restart:
+            for k in range(t + 1, n):
+                q = row[k] // d
+                if q:
+                    row[k] -= q * d
+                    w[k] = [x - q * y for x, y in zip(w[k], w[t])]
+                if row[k] and (j == t or row[k] < row[j]):
+                    j = k
+            if j != t:
                 continue
-            # pivot cleared; enforce that it divides the rest of the block,
-            # which a unit pivot does
-            d = s[t][t]
+            # row and column clear; the pivot must divide the rest of the
+            # block, which a unit pivot does. Folding a row it does not
+            # divide into row t shrinks it to a gcd on the next pass.
             if d == 1:
                 break
-            bad_row = None
-            for i in range(t + 1, m):
-                if any(x % d for x in s[i][t + 1:]):
-                    bad_row = i
-                    break
-            if bad_row is None:
+            bad = next((k for k in range(t + 1, m) if any(x % d for x in s[k][t + 1:])), None)
+            if bad is None:
                 break
-            # folding the offending row into row t shrinks the pivot to a
-            # gcd on the next pass
-            s[t] = [x + y for x, y in zip(s[t], s[bad_row])]
-            u[t] = [x + y for x, y in zip(u[t], u[bad_row])]
-        t += 1
+            s[t] = [x + y for x, y in zip(row, s[bad])]
+            u[t] = [x + y for x, y in zip(urow, u[bad])]
 
     return SmithDecomposition(
         u=IntMatrix._of(m, m, tuple(chain.from_iterable(u))),
-        v=IntMatrix._of(n, n, tuple(chain.from_iterable(v))),
+        v=IntMatrix._of(n, n, tuple(chain.from_iterable(zip(*w)))),
         diagonal=tuple(s[i][i] for i in range(min(m, n))),
         source=a,
     )

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import cptate.cli as cli
 import cptate.numfield as numfield
 from cptate.cli import main
 
@@ -89,6 +90,40 @@ def test_verify_quadratic_parallel_matches_serial(capsys):
     assert doc1["reports"] == doc2["reports"]
 
 
+class _SerialExecutor:
+    """Stands in for ProcessPoolExecutor: records the pool size it was
+    asked for and maps in this process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+    def shutdown(self, cancel_futures=False):
+        pass
+
+
+def test_verify_quadratic_pool_is_no_larger_than_the_range(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _SerialExecutor)
+    monkeypatch.setattr(_SerialExecutor, "sizes", [])
+    # -3, -2, -1 and 2, 3 are the square-free d in [-3, 3] other than 0 and 1
+    code, out, _ = run(capsys, ["verify-quadratic", "--d-min", "-3", "--d-max", "3",
+                                "--jobs", "64"])
+    assert code == 0 and "checked 5 fields" in out
+    assert _SerialExecutor.sizes == [5]
+    # one eligible field runs serially, with no pool at all
+    code, out, _ = run(capsys, ["verify-quadratic", "--d-min", "2", "--d-max", "2",
+                                "--jobs", "64"])
+    assert code == 0 and "checked 1 fields" in out
+    assert _SerialExecutor.sizes == [5]
+    # a pool still forms while the range has more fields than jobs
+    run(capsys, ["verify-quadratic", "--d-min", "-3", "--d-max", "3", "--jobs", "2"])
+    assert _SerialExecutor.sizes == [5, 2]
+
+
 def test_verify_quadratic_reports_unit_norm_exception(capsys):
     # the unit-norm prediction genuinely fails at d = 34, and the sweep
     # must say so rather than hide it
@@ -163,10 +198,12 @@ def test_examples_json_is_pinned_byte_for_byte(capsys):
         "34188ffada95479148c4e4673cc17b646603d0bf178a1adeb0ca4dc6da14f2f4")
 
 
-def test_examples_empty_prime_list(capsys):
-    code, out, _ = run(capsys, ["examples", "--p", ""])
-    assert code == 0
-    assert "0 examples" in out
+@pytest.mark.parametrize("primes", ["", ",", " , "], ids=["empty", "comma", "spaced"])
+def test_examples_rejects_empty_prime_list(capsys, primes):
+    code, out, err = run(capsys, ["examples", "--p", primes])
+    assert code == 2
+    assert "--p" in err
+    assert out == ""
 
 
 def test_examples_rejects_composite_prime(capsys):

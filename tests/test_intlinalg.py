@@ -22,6 +22,8 @@ from cptate import (
     lattice_member,
     snf,
 )
+from cptate import mfld
+from catalog import conjugate, random_unimodular
 
 matrices = st.integers(1, 6).flatmap(
     lambda m: st.integers(1, 6).flatmap(
@@ -248,6 +250,56 @@ def test_snf_known_small_cases():
     for x in dec.diagonal:
         prod *= x
     assert prod == abs(det(a))
+
+
+def _low_rank(rng, rows, cols, rank, bits):
+    return _random_entries(rng, rows, rank, bits) @ _random_entries(rng, rank, cols, bits)
+
+
+def test_snf_of_every_shape_up_to_24():
+    # the manifolds workload reaches 23 x 23; low-rank products leave zeros
+    # on the diagonal and make the pivot fold rows
+    rng = random.Random(15)
+    for _ in range(100):
+        m, n = rng.randint(0, 24), rng.randint(0, 24)
+        check_snf_contract(_random_entries(rng, m, n, rng.choice((1, 4, 16))))
+        check_snf_contract(_low_rank(rng, m, n, rng.randint(0, min(m, n, 4)), 3))
+    for n in range(25):
+        check_snf_contract(_random_entries(rng, n, n, 3))
+        check_snf_contract(_low_rank(rng, n, n, n // 2, 2))
+
+
+def test_snf_of_long_entries():
+    rng = random.Random(100)
+    for _ in range(20):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        check_snf_contract(_random_entries(rng, m, n, 100))
+        check_snf_contract(_random_entries(rng, m, n, 3) * ((1 << 100) - 1))
+    # long invariant factors under a change of basis on both sides
+    d = IntMatrix.diagonal([1 << 100, 3 ** 70 << 100, 0])
+    for _ in range(10):
+        moved = random_unimodular(rng, 3, 12) @ d @ random_unimodular(rng, 3, 12)
+        assert check_snf_contract(moved).diagonal == (1 << 100, 3 ** 70 << 100, 0)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 23])
+def test_snf_of_manifold_presentations_in_random_bases(p):
+    # the matrices tate and fixed_points hand to snf: the relations, S and
+    # N, and [S | relations], on lens and hempel presentations moved by
+    # random unimodular bases; the diagonals do not depend on the basis
+    rng = random.Random(p)
+    examples = [mfld.example_lens(p)] + [mfld.example_hempel(p, n) for n in (1, 4, 9, 16)]
+    for e in examples:
+        h1 = e.h1
+        one = IntMatrix.identity(h1.ambient_rank)
+        expected = None
+        for _ in range(3):
+            moved = conjugate(h1, random_unimodular(rng, h1.ambient_rank, 3 * h1.ambient_rank))
+            rel, s_op = moved.group.relations, moved.tau - one
+            mats = (rel, s_op, moved.norm, s_op.hstack(rel), moved.norm.hstack(rel))
+            diagonals = [check_snf_contract(a).diagonal for a in mats]
+            assert expected in (None, diagonals)
+            expected = diagonals
 
 
 def _minor_gcd(a, k):
