@@ -28,7 +28,9 @@ from .intlinalg import (
     _check_descends,
     _cokernel_of,
     _first_outside,
+    _invariants,
     _subquotient,
+    _subquotient_relations,
 )
 
 
@@ -93,10 +95,11 @@ class CpModule:
     norm is always N = 1 + tau + ... + tau^(p-1) of this (tau, p); it
     is derived from them, so equality and hashing leave it out.
 
-    tate and fixed_points check once per call that their operators
-    descend to the group and that the composites they need vanish, and
-    then form each subquotient unchecked; a module built directly rather
-    than through new_cp_module still fails those checks."""
+    tate, tate_dim, h0_and_fixed_points and fixed_points check once per
+    call that their operators descend to the group and that the
+    composites they need vanish, and then form each subquotient
+    unchecked; a module built directly rather than through new_cp_module
+    still fails those checks."""
 
     p: int
     group: FgAbGroup
@@ -206,31 +209,62 @@ class TateCohomology:
     dim_h1: int
 
 
-def tate(module: CpModule) -> TateCohomology:
-    """Both Tate groups of the module, with F_p dimensions.
-
-    The construction guarantees elementary abelian p-group output; a
-    violation would mean the module failed validation, so it is treated
-    as an internal error rather than a verdict.
-    """
-    group, norm = module.group, module.norm
+def _checked_operators(module: CpModule, q: int):
+    """(ker_of, im_of) of H^q, (S, N) for q = 0 and (N, S) for q = 1,
+    after the checks of induced_subquotient(group, ker_of, im_of): both
+    descend to the group, and ker_of im_of vanishes on it."""
+    if q not in (0, 1):
+        raise ValueError(f"Tate degree must be 0 or 1, got {q}")
     s_op = module.tau - IntMatrix.identity(module.ambient_rank)
-    # the checks of induced_subquotient(group, S, N) and (group, N, S),
-    # each run once; N S stays, as a raw-built module's N need not commute
-    # with S
-    _check_descends(group, (("ker_of", s_op), ("im_of", norm)))
-    _check_composite(group, s_op, norm)
-    _check_composite(group, norm, s_op)
-    h0 = _subquotient(group, s_op, norm)
-    h1 = _subquotient(group, norm, s_op)
-    for name, h in (("H^0", h0), ("H^1", h1)):
-        if h.free_rank != 0 or any(f != module.p for f in h.invariant_factors):
-            raise CpModuleError(
-                f"{name} = {h} is not an elementary abelian {module.p}-group; "
-                "module validation was bypassed or broken"
-            )
-    return TateCohomology(dim_h0=len(h0.invariant_factors),
-                          dim_h1=len(h1.invariant_factors))
+    ker_of, im_of = (s_op, module.norm) if q == 0 else (module.norm, s_op)
+    _check_descends(module.group, (("ker_of", ker_of), ("im_of", im_of)))
+    _check_composite(module.group, ker_of, im_of)
+    return ker_of, im_of
+
+
+def _elementary_dim(module: CpModule, q: int, relations: IntMatrix) -> int:
+    """F_p dimension of H^q, presented by relations. The construction
+    guarantees elementary abelian p-group output; a violation would mean
+    the module failed validation, so it is treated as an internal error
+    rather than a verdict."""
+    factors, free_rank = _invariants(relations)
+    if free_rank or any(f != module.p for f in factors):
+        raise CpModuleError(
+            f"H^{q} = {cokernel(relations)} is not an elementary abelian {module.p}-group; "
+            "module validation was bypassed or broken"
+        )
+    return len(factors)
+
+
+def _tate_dim(module: CpModule, q: int, ker_of: IntMatrix, im_of: IntMatrix) -> int:
+    """dim H^q = Ker(ker_of) / Im(im_of), for operators that passed
+    _checked_operators."""
+    (relations,) = _subquotient_relations(module.group, ker_of, (im_of,))
+    return _elementary_dim(module, q, relations)
+
+
+def tate_dim(module: CpModule, q: int) -> int:
+    """F_p dimension of the one Tate group H^q, q = 0 or 1, formed alone."""
+    return _tate_dim(module, q, *_checked_operators(module, q))
+
+
+def tate(module: CpModule) -> TateCohomology:
+    """Both Tate groups of the module, with F_p dimensions: tate_dim of
+    each degree, with the descent of S and N checked once."""
+    s_op, norm = _checked_operators(module, 0)
+    # N S stays checked, as a raw-built module's N need not commute with S
+    _check_composite(module.group, norm, s_op)
+    return TateCohomology(dim_h0=_tate_dim(module, 0, s_op, norm),
+                          dim_h1=_tate_dim(module, 1, norm, s_op))
+
+
+def h0_and_fixed_points(module: CpModule) -> tuple:
+    """(dim H^0, fixed points): Ker S modulo Im N and modulo 0, two
+    quotients of one preimage of S, with tate_dim(module, 0)'s checks."""
+    s_op, norm = _checked_operators(module, 0)
+    zero = IntMatrix.zeros(module.ambient_rank, module.ambient_rank)
+    h0, fixed = _subquotient_relations(module.group, s_op, (norm, zero))
+    return _elementary_dim(module, 0, h0), cokernel(fixed)
 
 
 def herbrand_check(module: CpModule) -> bool:

@@ -21,6 +21,11 @@ from operator import add, mod, mul, neg, sub
 # IntMatrix.__matmul__ packs rows into 64-bit digits of one int when its
 # result and its right factor stay below this bound in magnitude
 _DIGIT_BOUND = 1 << 62
+# A product with at most this many entries takes dot products: packing
+# costs a conversion per row of either factor, whatever the entry count.
+# On the products of a manifolds pass, the cutover was between 25 entries
+# (5x5 results, and every m x m x 1 up to m = 17) and 36 (6x6)
+_DOT_ENTRIES = 25
 _ORDER = sys.byteorder  # array's byte order
 _TOP_BIT = array("Q", [1 << 63]).tobytes()
 
@@ -164,7 +169,8 @@ class IntMatrix:
         packed rows, and its digits are read back through an array. The
         digits are exact while max|b| < 2^62 and n max|a| max|b| < 2^62,
         which keep every packed and every result entry below 2^63; a
-        product outside that bound takes one dot product per entry."""
+        product outside that bound, or with at most _DOT_ENTRIES entries,
+        takes one dot product per entry."""
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if self.cols != other.rows:
@@ -174,8 +180,9 @@ class IntMatrix:
         m, n, p = self.rows, self.cols, other.cols
         a, b = self.entries, other.entries
         rows = [a[i * n:(i + 1) * n] for i in range(m)]
-        b_max = max(max(b), -min(b)) if b else 0
-        if b_max >= _DIGIT_BOUND or a and n * max(max(a), -min(a)) * b_max >= _DIGIT_BOUND:
+        small = m * p <= _DOT_ENTRIES
+        b_max = 0 if small or not b else max(max(b), -min(b))
+        if small or b_max >= _DIGIT_BOUND or a and n * max(max(a), -min(a)) * b_max >= _DIGIT_BOUND:
             cols = [b[j::p] for j in range(p)]
             return IntMatrix._of(m, p, tuple(sum(map(mul, r, c)) for r in rows for c in cols))
         # adding the bias puts every digit in [0, 2^64), so no digit
@@ -267,7 +274,9 @@ class SmithDecomposition:
     u and v are unimodular; diagonal holds the min(rows, cols) entries d_i.
     Only d_i, i < rank, are nonzero, so source's columns span the lattice
     with basis d_i * u^-1 e_i: b lies in it iff (u b)_i is divisible by d_i
-    for i < rank and 0 beyond.
+    for i < rank and 0 beyond. snf(a, u=False) or snf(a, v=False) sets the
+    transform it leaves out to None; only this module asks for such a
+    form, and none of its other functions returns one.
     """
 
     u: IntMatrix
@@ -295,7 +304,7 @@ def _find_pivot(s, t, m, n):
     return None if best is None else (best[1], best[2])
 
 
-def snf(a: IntMatrix) -> SmithDecomposition:
+def snf(a: IntMatrix, *, u: bool = True, v: bool = True) -> SmithDecomposition:
     """Smith normal form by elimination with minimal-|pivot| selection.
 
     Each pivot alternates two phases until its row and column are clear
@@ -305,14 +314,22 @@ def snf(a: IntMatrix) -> SmithDecomposition:
     s[t][t] e_t, as earlier pivots cleared their rows, so
     col_k -= q col_t changes s only at [t][k]; it is mirrored as
     row_k -= q row_t on w = v^T, which is transposed into v at the end.
-    Row operations are mirrored on u, so u @ a @ v == s holds at every
-    step; the final s is diagonal, nonnegative, with each entry dividing
-    the next.
+    Row operations are mirrored on u, which rides along as m more columns
+    of s, so u @ a @ v == s holds at every step; the final s is diagonal,
+    nonnegative, with each entry dividing the next.
+
+    The pivots depend on s alone, so a transform that is not carried
+    (u=False or v=False) is None in the result and changes nothing else.
+    Only this module's readers of one transform or none leave one out:
+    kernel reads v, a subquotient's numerator u, and the cokernels that
+    close a subquotient or a class group the diagonal alone.
     """
     m, n = a.rows, a.cols
     s = a.to_rows()
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    w = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    if u:
+        for i, row in enumerate(s):
+            row.extend(1 if i == j else 0 for j in range(m))
+    w = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if v else None
     for t in range(min(m, n)):
         piv = _find_pivot(s, t, m, n)
         if piv is None:
@@ -320,24 +337,22 @@ def snf(a: IntMatrix) -> SmithDecomposition:
         i, j = piv
         if s[i][j] < 0:
             s[i] = [-x for x in s[i]]
-            u[i] = [-x for x in u[i]]
         while True:
             # bring row i and column j to the pivot; rows above t are zero
             # in both columns, and every remainder of a positive pivot is
             # positive
             s[t], s[i] = s[i], s[t]
-            u[t], u[i] = u[i], u[t]
             if j != t:
                 for r in s[t:]:
                     r[t], r[j] = r[j], r[t]
-                w[t], w[j] = w[j], w[t]
-            row, urow, d = s[t], u[t], s[t][t]
+                if v:
+                    w[t], w[j] = w[j], w[t]
+            row, d = s[t], s[t][t]
             i = j = t
             for k in range(t + 1, m):
                 q = s[k][t] // d
                 if q:
                     s[k] = [x - q * y for x, y in zip(s[k], row)]
-                    u[k] = [x - q * y for x, y in zip(u[k], urow)]
                 if s[k][t] and (i == t or s[k][t] < s[i][t]):
                     i = k
             if i != t:
@@ -346,7 +361,8 @@ def snf(a: IntMatrix) -> SmithDecomposition:
                 q = row[k] // d
                 if q:
                     row[k] -= q * d
-                    w[k] = [x - q * y for x, y in zip(w[k], w[t])]
+                    if v:
+                        w[k] = [x - q * y for x, y in zip(w[k], w[t])]
                 if row[k] and (j == t or row[k] < row[j]):
                     j = k
             if j != t:
@@ -356,15 +372,14 @@ def snf(a: IntMatrix) -> SmithDecomposition:
             # divide into row t shrinks it to a gcd on the next pass.
             if d == 1:
                 break
-            bad = next((k for k in range(t + 1, m) if any(x % d for x in s[k][t + 1:])), None)
+            bad = next((k for k in range(t + 1, m) if any(x % d for x in s[k][t + 1:n])), None)
             if bad is None:
                 break
             s[t] = [x + y for x, y in zip(row, s[bad])]
-            u[t] = [x + y for x, y in zip(urow, u[bad])]
 
     return SmithDecomposition(
-        u=IntMatrix._of(m, m, tuple(chain.from_iterable(u))),
-        v=IntMatrix._of(n, n, tuple(chain.from_iterable(zip(*w)))),
+        u=IntMatrix._of(m, m, tuple(chain.from_iterable(r[n:] for r in s))) if u else None,
+        v=IntMatrix._of(n, n, tuple(chain.from_iterable(zip(*w)))) if v else None,
         diagonal=tuple(s[i][i] for i in range(min(m, n))),
         source=a,
     )
@@ -424,7 +439,7 @@ def lattice_member(a: IntMatrix, b) -> tuple | None:
 
 def kernel(a: IntMatrix) -> IntMatrix:
     """Basis of the integer kernel {x : a @ x == 0}, as matrix columns."""
-    dec = snf(a)
+    dec = snf(a, u=False)
     n, r = a.cols, dec.rank
     v = dec.v.entries
     # the last n - r columns of v, read row by row
@@ -577,21 +592,42 @@ def _check_composite(group: FgAbGroup, ker_of: IntMatrix, im_of: IntMatrix) -> N
 
 def _subquotient(group: FgAbGroup, ker_of: IntMatrix, im_of: IntMatrix) -> FgAbGroup:
     """induced_subquotient without its checks, for operators that passed
-    them. The numerator is the preimage lattice K = {x : ker_of x in L},
-    obtained by projecting the kernel of [ker_of | relations] onto the
-    first m coordinates. With u @ K_gens @ v == diag(d), K has the basis
-    d_i * u^-1 e_i (i < rank), so a denominator generator x (a column of
-    im_of or of L) has the coordinates (u x)_i / d_i in it; the result
-    is K modulo those columns, normalized.
+    them."""
+    (relations,) = _subquotient_relations(group, ker_of, (im_of,))
+    return cokernel(relations)
+
+
+def _subquotient_relations(group: FgAbGroup, ker_of: IntMatrix, im_ofs) -> list:
+    """Relations presenting Ker(ker_of) / Im(im_of) inside group, one
+    matrix per im_of in im_ofs, for operators that passed the checks of
+    induced_subquotient. The numerator is the preimage lattice
+    K = {x : ker_of x in L}, obtained by projecting the kernel of
+    [ker_of | relations] onto the first m coordinates; its Smith form is
+    taken once, with u alone, and serves every denominator. With
+    u @ K_gens @ v == diag(d), K has the basis d_i * u^-1 e_i (i < rank),
+    so a denominator generator x (a column of im_of or of L) has the
+    coordinates (u x)_i / d_i in it; each result is those coordinates as
+    columns, whose cokernel is K modulo the denominator.
     """
     m = group.ambient_rank
     rel = group.relations
     k = kernel(ker_of.hstack(rel))
-    num = snf(IntMatrix._of(m, k.cols, k.entries[:m * k.cols]))
-    denom = im_of.hstack(rel)
-    y = num.u @ denom
-    if _first_outside(num, y) is not None:
-        # cannot happen once the checks pass
-        raise CompositeNotZero("denominator generator escapes the numerator lattice")
-    inner = tuple(x // d for i, d in enumerate(num.diagonal[:num.rank]) for x in y.row(i))
-    return cokernel(IntMatrix._of(num.rank, denom.cols, inner))
+    num = snf(IntMatrix._of(m, k.cols, k.entries[:m * k.cols]), v=False)
+    out = []
+    for im_of in im_ofs:
+        denom = im_of.hstack(rel)
+        y = num.u @ denom
+        if _first_outside(num, y) is not None:
+            # cannot happen once the checks pass
+            raise CompositeNotZero("denominator generator escapes the numerator lattice")
+        inner = tuple(x // d for i, d in enumerate(num.diagonal[:num.rank]) for x in y.row(i))
+        out.append(IntMatrix._of(num.rank, denom.cols, inner))
+    return out
+
+
+def _invariants(relations: IntMatrix) -> tuple:
+    """(invariant factors, free rank) of the cokernel of relations, as
+    cokernel would give them, for a caller that reads nothing else: they
+    come from the Smith diagonal alone, with neither transform formed."""
+    diag = snf(relations, u=False, v=False).diagonal
+    return tuple(d for d in diag if d > 1), relations.rows - sum(1 for d in diag if d)

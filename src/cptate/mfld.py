@@ -19,10 +19,10 @@ from .cpmod import (
     _smith_conjugate,
     augmentation_module,
     direct_sum,
-    fixed_points,
     free_module,
+    h0_and_fixed_points,
     new_cp_module,
-    tate,
+    tate_dim,
     tor_module,
     trivial_free_module,
     trivial_module,
@@ -49,14 +49,16 @@ class ManifoldExample:
     def __post_init__(self):
         if self.s < 0:
             raise ValueError("branch count must be >= 0")
-        # both derived submodules must exist; raises if h1 is broken
+        # both derived submodules must exist; raises if h1 is broken.
+        # Only the Tate groups the checks read are formed
         conjugated = _smith_conjugate(self.h1)
         tor = tor_module(self.h1, conjugated)
         free = free_module(self.h1, conjugated)
-        object.__setattr__(self, "dim_h0_h1", tate(self.h1).dim_h0)
-        object.__setattr__(self, "dim_h0_tor", tate(tor).dim_h0)
-        object.__setattr__(self, "dim_h1_free", tate(free).dim_h1)
-        object.__setattr__(self, "tor_fixed", fixed_points(tor).invariant_factors)
+        dim_h0_tor, tor_fixed = h0_and_fixed_points(tor)
+        object.__setattr__(self, "dim_h0_h1", tate_dim(self.h1, 0))
+        object.__setattr__(self, "dim_h0_tor", dim_h0_tor)
+        object.__setattr__(self, "dim_h1_free", tate_dim(free, 1))
+        object.__setattr__(self, "tor_fixed", tor_fixed.invariant_factors)
         object.__setattr__(self, "free_rank", free.group.free_rank)
 
 

@@ -6,7 +6,8 @@ d < 0, and cycles of reduced indefinite forms (narrow classes) for d > 0.
 The group is generated by the prime forms (p, b_p, *) with (D/p) != -1 and
 p <= sqrt(|D|/3) for d < 0, p <= isqrt(D)/2 for d > 0, the latter with
 (-1, b0, *); no list of all reduced forms is made. The structure comes
-from one relation lattice on the generators' classes through `cokernel`;
+from one relation lattice on the generators' classes, as the invariant
+factors of its cokernel, read off the Smith diagonal alone;
 it codes each class's coordinates as one int in a base of width 2|D|,
 which exceeds twice the class number. The lattice composes one class of
 each inverse pair and takes the other as the class of (c, b, a): for
@@ -25,10 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
-from .cpmod import CpModule, new_cp_module, tate, fixed_points, is_prime
-from .intlinalg import IntMatrix, cokernel, from_invariants
+from .cpmod import CpModule, h0_and_fixed_points, is_prime, new_cp_module, tate_dim
+from .intlinalg import IntMatrix, _invariants, from_invariants
 
 
 class NotSquareFree(ValueError):
@@ -472,16 +473,15 @@ def _class_cohomology(inv: tuple) -> tuple:
     invariants, and fields whose class groups share their 2-part share
     the entry."""
     cl = _class_module(inv)
-    co = tate(cl)
-    fixed = fixed_points(cl)
-    return co.dim_h0, co.dim_h1, fixed.free_rank, fixed.invariant_factors
+    dim_h0, fixed = h0_and_fixed_points(cl)
+    return dim_h0, tate_dim(cl, 1), fixed.free_rank, fixed.invariant_factors
 
 
 @lru_cache(maxsize=2)
 def _unit_h1_dim(real: bool) -> int:
     """dim H^1(C_2, units/torsion). The unit module depends only on the
     sign of d, so Q(sqrt(2)) and Q(sqrt(-1)) stand for every field."""
-    return tate(unit_module(2 if real else -1)).dim_h1
+    return tate_dim(unit_module(2 if real else -1), 1)
 
 
 def _class_record(d, D, inv, h, narrow_inv, narrow_h, neg_trivial) -> ClassData:
@@ -563,14 +563,14 @@ def _class_data(d: int) -> ClassData:
 
     ident = cls_of(_principal_form(D))
     coords, rel = _relation_lattice(map(cls_of, gens), op, inv, ident, width)
-    narrow = cokernel(rel)
+    # the groups are finite, and only their invariant factors are read
+    narrow, _ = _invariants(rel)
     if d < 0:
-        return _class_record(d, D, narrow.invariant_factors, narrow.order, None, None, None)
+        return _class_record(d, D, narrow, prod(narrow), None, None, None)
     neg = cls_of(neg)
     column = _decode(coords[neg], width, rel.rows)
-    wide = cokernel(rel.hstack(IntMatrix.from_columns([column], rel.rows)))
-    return _class_record(d, D, wide.invariant_factors, wide.order,
-                         narrow.invariant_factors, narrow.order, neg == ident)
+    wide, _ = _invariants(rel.hstack(IntMatrix.from_columns([column], rel.rows)))
+    return _class_record(d, D, wide, prod(wide), narrow, prod(narrow), neg == ident)
 
 
 def class_number(d: int) -> int:

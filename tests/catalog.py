@@ -7,14 +7,7 @@ import random
 from itertools import product
 from typing import NamedTuple
 
-from cptate import (
-    CpModule,
-    IntMatrix,
-    direct_sum,
-    inverse_unimodular,
-    new_cp_module,
-    snf,
-)
+from cptate import CpModule, IntMatrix, direct_sum, new_cp_module
 
 PRIMES = (2, 3, 5, 7)
 
@@ -49,24 +42,34 @@ def aug_mod_block(p: int, q: int) -> CpModule:
     return new_cp_module(p, q * IntMatrix.identity(n), IntMatrix.from_columns(cols, n))
 
 
-def random_unimodular(rng: random.Random, m: int, steps: int = 8) -> IntMatrix:
+def random_unimodular(rng: random.Random, m: int, steps: int = 8):
+    """(w, w^-1) for a random product w of elementary row operations; the
+    inverse undoes the same operations in reverse order, as column
+    operations on the identity."""
     rows = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    inv = [row[:] for row in rows]
     for _ in range(steps if m > 1 else 0):
         kind = rng.randrange(3)
         i, j = rng.sample(range(m), 2)
         if kind == 0:
+            # row_j += k row_i, undone on the right by col_i -= k col_j
             k = rng.choice((-2, -1, 1, 2))
             rows[j] = [a + k * b for a, b in zip(rows[j], rows[i])]
+            for r in inv:
+                r[i] -= k * r[j]
         elif kind == 1:
             rows[i], rows[j] = rows[j], rows[i]
+            for r in inv:
+                r[i], r[j] = r[j], r[i]
         else:
             rows[i] = [-a for a in rows[i]]
-    return IntMatrix.from_rows(rows, cols=m)
+            for r in inv:
+                r[i] = -r[i]
+    return IntMatrix.from_rows(rows, cols=m), IntMatrix.from_rows(inv, cols=m)
 
 
-def conjugate(module: CpModule, w: IntMatrix) -> CpModule:
-    """The same module presented in the basis y = w x."""
-    w_inv = inverse_unimodular(w)
+def conjugate(module: CpModule, w: IntMatrix, w_inv: IntMatrix) -> CpModule:
+    """The same module presented in the basis y = w x; w_inv is w^-1."""
     return new_cp_module(module.p, w @ module.group.relations, w @ module.tau @ w_inv)
 
 
@@ -89,7 +92,7 @@ def finite_catalog() -> list:
             m = rng.choice(blocks)
             for _ in range(rng.randint(0, 2)):
                 m = direct_sum(m, rng.choice(blocks))
-            mods.append(conjugate(m, random_unimodular(rng, m.ambient_rank)))
+            mods.append(conjugate(m, *random_unimodular(rng, m.ambient_rank)))
     return mods
 
 
@@ -105,19 +108,67 @@ def brute_tate_dims(module: CpModule):
     return brute_counts(module)[:2]
 
 
+def _diagonal_coordinates(relations, m):
+    """(d, u, u_inv) with u @ relations @ v diagonal, d its diagonal, for
+    some unimodular v, by plain elimination: move a least nonzero entry to
+    the pivot, reduce its row and column by it, and repeat until both are
+    clear. Only the row operations are recorded, on u and, undone, on
+    u_inv; the diagonal need not be a divisibility chain, as the
+    enumeration only needs the group as a product of cyclic factors."""
+    a = [list(r) for r in relations]
+    k = len(a[0]) if a else 0
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    u_inv = [r[:] for r in u]
+
+    def add_row(dst, src, c):  # row_dst += c row_src
+        a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
+        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
+        for r in u_inv:
+            r[src] -= c * r[dst]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+        for r in u_inv:
+            r[i], r[j] = r[j], r[i]
+
+    for t in range(min(m, k)):
+        while True:
+            entries = [(abs(a[i][j]), i, j) for i in range(t, m) for j in range(t, k) if a[i][j]]
+            if not entries:
+                break
+            _, i, j = min(entries)
+            swap_rows(t, i)
+            for r in a:
+                r[t], r[j] = r[j], r[t]
+            for i in range(t + 1, m):
+                add_row(i, t, -(a[i][t] // a[t][t]))
+            for j in range(t + 1, k):
+                q = a[t][j] // a[t][t]
+                for r in a:
+                    r[j] -= q * r[t]
+            if not any(a[i][t] for i in range(t + 1, m)) and not any(a[t][t + 1:]):
+                break
+    # the lattice of a diagonal form is spanned by |a_ii| e_i
+    return [abs(a[i][i]) if i < k else 0 for i in range(m)], u, u_inv
+
+
 def brute_counts(module: CpModule) -> BruteCounts:
     """Tate dimensions and fixed-point counts by exhaustive enumeration.
 
-    Works in Smith coordinates, where the group is a product of cyclic
+    Works in the coordinates of a diagonal form of the relations (see
+    _diagonal_coordinates), where the group is a product of cyclic
     factors; asserts along the way that images sit inside the kernels and
     that both quotients are elementary abelian p-groups.
     """
-    dec = snf(module.group.relations)
     m = module.ambient_rank
-    if dec.rank != m:
+    d, u, u_inv = _diagonal_coordinates(module.group.relations.to_rows(), m)
+    if 0 in d:
         raise ValueError("finite modules only")
-    d = list(dec.diagonal)
-    ty = (dec.u @ module.tau @ inverse_unimodular(dec.u)).to_rows()
+    tau = module.tau.to_rows()
+    u_tau = [[sum(u[i][k] * tau[k][j] for k in range(m)) for j in range(m)] for i in range(m)]
+    ty = [[sum(u_tau[i][k] * u_inv[k][j] for k in range(m)) for j in range(m)]
+          for i in range(m)]
     zero = (0,) * m
     p = module.p
 

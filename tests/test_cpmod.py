@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from cptate import (
     CompositeNotZero,
     CpModule,
+    CpModuleError,
     IntMatrix,
     MatrixDoesNotDescend,
     ModuleNotFinite,
@@ -26,6 +27,7 @@ from cptate import (
     free_module,
     free_regular_module,
     from_invariants,
+    h0_and_fixed_points,
     herbrand_check,
     induced_subquotient,
     lattice_member,
@@ -33,6 +35,7 @@ from cptate import (
     sharp_dual,
     star_dual,
     tate,
+    tate_dim,
     tor_module,
     trivial_free_module,
     trivial_module,
@@ -125,24 +128,30 @@ def _expected_error(p, rel, tau):
     return TauOrderNotDividingP
 
 
+def _random_spec(rng):
+    """(p, relations, tau) on at most 3 generators, valid or not."""
+    # the residue test runs for the large primes only
+    p = rng.choice((2, 3, 5, 10007))
+    m = rng.randint(1, 3)
+    rel = IntMatrix.from_columns(
+        [[rng.randint(-3, 3) for _ in range(m)] for _ in range(rng.randint(0, m))], m)
+    if rng.random() < 0.5:
+        # a signed permutation, often of order dividing p
+        perm = rng.sample(range(m), m)
+        tau = IntMatrix.from_rows([[rng.choice((1, -1)) if j == perm[i] else 0
+                                    for j in range(m)] for i in range(m)])
+    else:
+        tau = IntMatrix.from_rows([[rng.randint(-2, 2) for _ in range(m)]
+                                   for _ in range(m)])
+    return p, rel, tau
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_errors_on_random_specs_match_the_exact_tests(seed):
     rng = random.Random(seed)
     seen = set()
     for _ in range(200):
-        # the residue test runs for the large primes only
-        p = rng.choice((2, 3, 5, 10007))
-        m = rng.randint(1, 3)
-        rel = IntMatrix.from_columns(
-            [[rng.randint(-3, 3) for _ in range(m)] for _ in range(rng.randint(0, m))], m)
-        if rng.random() < 0.5:
-            # a signed permutation, often of order dividing p
-            perm = rng.sample(range(m), m)
-            tau = IntMatrix.from_rows([[rng.choice((1, -1)) if j == perm[i] else 0
-                                        for j in range(m)] for i in range(m)])
-        else:
-            tau = IntMatrix.from_rows([[rng.randint(-2, 2) for _ in range(m)]
-                                       for _ in range(m)])
+        p, rel, tau = _random_spec(rng)
         want = _expected_error(p, rel, tau)
         seen.add(want)
         try:
@@ -210,7 +219,7 @@ def test_classify_recovers_multiplicities_after_basis_change(p):
             mod = direct_sum(mod, trivial_free_module(p))
         for _ in range(a):
             mod = direct_sum(mod, augmentation_module(p))
-        mod = conjugate(mod, random_unimodular(rng, mod.ambient_rank))
+        mod = conjugate(mod, *random_unimodular(rng, mod.ambient_rank))
         got = classify_free(mod)
         assert (got.f, got.t, got.a) == (f, t, a)
         assert mod.ambient_rank == f * p + t + a * (p - 1)
@@ -317,12 +326,47 @@ def _outcome(fn, m):
         return type(err), str(err)
 
 
+def _checked_dim(m, q):
+    """dim H^q as the checked induced_subquotient of its pair."""
+    s_op = m.tau - IntMatrix.identity(m.ambient_rank)
+    ker_of, im_of = (s_op, m.norm) if q == 0 else (m.norm, s_op)
+    return len(induced_subquotient(m.group, ker_of, im_of).invariant_factors)
+
+
+def _checked_h0_and_fixed_points(m):
+    return _checked_dim(m, 0), _checked_fixed_points(m)
+
+
+def test_one_degree_matches_tate():
+    rng = random.Random(23)
+    mods = finite_catalog()
+    for example in (example_lens(5), example_lens(7), example_hempel(3, 4), example_hempel(5, 2)):
+        h1 = example.h1
+        mods += [h1] + [conjugate(h1, *random_unimodular(rng, h1.ambient_rank, 3 * h1.ambient_rank))
+                        for _ in range(3)]
+    specs = []
+    for _ in range(300):
+        try:
+            specs.append(new_cp_module(*_random_spec(rng)))
+        except CpModuleError:
+            pass
+    assert len(specs) >= 50
+    mods += specs
+    for m in mods:
+        co = tate(m)
+        assert (tate_dim(m, 0), tate_dim(m, 1)) == (co.dim_h0, co.dim_h1)
+        assert h0_and_fixed_points(m) == (co.dim_h0, fixed_points(m))
+    for q in (-1, 2):
+        with pytest.raises(ValueError):
+            tate_dim(mods[0], q)
+
+
 def test_tate_and_fixed_points_match_the_checked_route():
     rng = random.Random(17)
     mods = finite_catalog()
     for example in (example_lens(5), example_hempel(3, 4)):
         h1 = example.h1
-        mods += [h1] + [conjugate(h1, random_unimodular(rng, h1.ambient_rank)) for _ in range(4)]
+        mods += [h1] + [conjugate(h1, *random_unimodular(rng, h1.ambient_rank)) for _ in range(4)]
     for m in mods:
         assert _tate_dims(m) == _checked_tate(m)
         assert fixed_points(m) == _checked_fixed_points(m)
@@ -344,10 +388,23 @@ def test_raw_modules_still_fail_every_check():
     not_commuting = CpModule(2, free_abelian(2), shear, IntMatrix.from_rows([[1, 0], [0, 0]]))
     with pytest.raises(CompositeNotZero):
         tate(not_commuting)
+    # the one-degree entry checks both operators in each degree, and the
+    # composite of its own degree only
+    for q in (0, 1):
+        with pytest.raises(MatrixDoesNotDescend):
+            tate_dim(moves, q)
+    with pytest.raises(MatrixDoesNotDescend):
+        h0_and_fixed_points(moves)
+    with pytest.raises(CompositeNotZero):
+        tate_dim(not_commuting, 1)
     wrong_shape = CpModule(2, g, IntMatrix.identity(3), IntMatrix.identity(3))
     for m in (moves, not_commuting, wrong_shape):
         assert _outcome(_tate_dims, m) == _outcome(_checked_tate, m)
         assert _outcome(fixed_points, m) == _outcome(_checked_fixed_points, m)
+        for q in (0, 1):
+            assert (_outcome(lambda m: tate_dim(m, q), m)
+                    == _outcome(lambda m: _checked_dim(m, q), m))
+        assert _outcome(h0_and_fixed_points, m) == _outcome(_checked_h0_and_fixed_points, m)
 
 
 # -- structural operators ----------------------------------------------------
@@ -427,8 +484,7 @@ def test_basis_change_invariance(seed, p):
     m = rng.choice(blocks)
     if rng.random() < 0.5:
         m = direct_sum(m, rng.choice(blocks))
-    w = random_unimodular(rng, m.ambient_rank)
-    c = conjugate(m, w)
+    c = conjugate(m, *random_unimodular(rng, m.ambient_rank))
     assert (tate(c).dim_h0, tate(c).dim_h1) == (tate(m).dim_h0, tate(m).dim_h1)
     assert fixed_points(c) == fixed_points(m)
     assert c.group == m.group
@@ -441,7 +497,7 @@ def test_tor_and_free_parts_survive_basis_change(seed, p, lattice):
     rng = random.Random(seed)
     block = rng.choice(base_blocks(p))
     m = direct_sum(block, lattice(p))
-    c = conjugate(m, random_unimodular(rng, m.ambient_rank))
+    c = conjugate(m, *random_unimodular(rng, m.ambient_rank))
     _assert_parts_validate(c)
     tor = tor_module(c)
     assert tor.group == block.group

@@ -22,7 +22,7 @@ from cptate import (
     lattice_member,
     snf,
 )
-from cptate import mfld
+from cptate import intlinalg, mfld
 from catalog import conjugate, random_unimodular
 
 matrices = st.integers(1, 6).flatmap(
@@ -168,6 +168,14 @@ def test_products_of_every_shape_up_to_24():
         _assert_product(_random_entries(rng, m, n, bits), _random_entries(rng, n, p, bits))
     for n in range(25):
         _assert_product(_random_entries(rng, n, n, 16), _random_entries(rng, n, n, 16))
+    # either side of the cutover between dot products and packed rows,
+    # in every shape of result, with inner dimensions 0 to 30
+    for entries in (intlinalg._DOT_ENTRIES, intlinalg._DOT_ENTRIES + 1):
+        for m in (m for m in range(1, entries + 1) if entries % m == 0):
+            for n in (0, 1, 2, 7, 30):
+                bits = rng.choice((1, 8, 26))
+                _assert_product(_random_entries(rng, m, n, bits),
+                                _random_entries(rng, n, entries // m, bits))
 
 
 @pytest.mark.parametrize("n, a_max, b_max", [
@@ -178,10 +186,12 @@ def test_products_of_every_shape_up_to_24():
     (1, 1, (1 << 63) - 1), (2, (1 << 63) - 1, 1), (4, (1 << 63) - 1, (1 << 63) - 1),
 ])
 def test_products_at_the_edge_of_the_digit_bound(n, a_max, b_max):
-    # entries of the result reach +-n a_max b_max
-    a = IntMatrix.from_rows([[a_max] * n, [-a_max] * n,
-                             [a_max, -a_max] * (n // 2) + [0] * (n % 2)])
-    b = IntMatrix.from_rows([[b_max, -b_max, (-1) ** k * b_max] for k in range(n)])
+    # entries of the result reach +-n a_max b_max; each pattern is taken
+    # twice so that the 6 x 6 result is above the cutover to dot products
+    a = IntMatrix.from_rows(2 * [[a_max] * n, [-a_max] * n,
+                                 [a_max, -a_max] * (n // 2) + [0] * (n % 2)])
+    b = IntMatrix.from_rows([2 * [b_max, -b_max, (-1) ** k * b_max] for k in range(n)])
+    assert a.rows * b.cols > intlinalg._DOT_ENTRIES
     _assert_product(a, b)
     assert (a @ b).at(0, 0) == n * a_max * b_max
     _assert_product(b.transpose(), a.transpose())
@@ -278,8 +288,34 @@ def test_snf_of_long_entries():
     # long invariant factors under a change of basis on both sides
     d = IntMatrix.diagonal([1 << 100, 3 ** 70 << 100, 0])
     for _ in range(10):
-        moved = random_unimodular(rng, 3, 12) @ d @ random_unimodular(rng, 3, 12)
+        moved = random_unimodular(rng, 3, 12)[0] @ d @ random_unimodular(rng, 3, 12)[0]
         assert check_snf_contract(moved).diagonal == (1 << 100, 3 ** 70 << 100, 0)
+
+
+def _assert_transforms_left_out_alike(a):
+    # the pivots depend on s alone, so leaving a transform out changes
+    # nothing that is still formed
+    full = snf(a)
+    v_only, u_only, neither = snf(a, u=False), snf(a, v=False), snf(a, u=False, v=False)
+    assert v_only.u is u_only.v is neither.u is neither.v is None
+    assert v_only.diagonal == u_only.diagonal == neither.diagonal == full.diagonal
+    assert v_only.v == full.v and u_only.u == full.u
+    n, r = a.cols, full.rank
+    assert kernel(a) == IntMatrix.from_columns([full.v.entries[j::n] for j in range(r, n)], n)
+
+
+def test_snf_without_transforms_matches_the_full_form():
+    # the shapes of test_snf_of_every_shape_up_to_24 and the 100-bit
+    # inputs of test_snf_of_long_entries
+    rng = random.Random(16)
+    for _ in range(40):
+        m, n = rng.randint(0, 24), rng.randint(0, 24)
+        _assert_transforms_left_out_alike(_random_entries(rng, m, n, rng.choice((1, 4, 16))))
+        _assert_transforms_left_out_alike(_low_rank(rng, m, n, rng.randint(0, min(m, n, 4)), 3))
+    for _ in range(10):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        _assert_transforms_left_out_alike(_random_entries(rng, m, n, 100))
+        _assert_transforms_left_out_alike(_random_entries(rng, m, n, 3) * ((1 << 100) - 1))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 23])
@@ -294,7 +330,7 @@ def test_snf_of_manifold_presentations_in_random_bases(p):
         one = IntMatrix.identity(h1.ambient_rank)
         expected = None
         for _ in range(3):
-            moved = conjugate(h1, random_unimodular(rng, h1.ambient_rank, 3 * h1.ambient_rank))
+            moved = conjugate(h1, *random_unimodular(rng, h1.ambient_rank, 3 * h1.ambient_rank))
             rel, s_op = moved.group.relations, moved.tau - one
             mats = (rel, s_op, moved.norm, s_op.hstack(rel), moved.norm.hstack(rel))
             diagonals = [check_snf_contract(a).diagonal for a in mats]
@@ -357,6 +393,11 @@ def test_inverse_unimodular():
                 rows[j] = [a + k * b for a, b in zip(rows[j], rows[i])]
         w = IntMatrix.from_rows(rows)
         assert w @ inverse_unimodular(w) == IntMatrix.identity(m)
+    # the test catalog builds its inverses from the operations themselves
+    for m in range(1, 7):
+        w, w_inv = random_unimodular(rng, m, 12)
+        assert w @ w_inv == IntMatrix.identity(m) == w_inv @ w
+        assert inverse_unimodular(w) == w_inv
     with pytest.raises(NotUnimodular):
         inverse_unimodular(IntMatrix.diagonal([2, 1]))
     with pytest.raises(NotUnimodular):
