@@ -22,7 +22,6 @@ from .intlinalg import (
     FgAbGroup,
     IntMatrix,
     cokernel,
-    inverse_unimodular,
     snf,
     _check_composite,
     _check_descends,
@@ -122,13 +121,17 @@ class CpModule:
 
 
 def _norm(tau: IntMatrix, p: int) -> IntMatrix:
-    """N = 1 + tau + ... + tau^(p-1) by doubling, on the bits of p:
-    N_2k = N_k + tau^k N_k and N_(k+1) = 1 + tau N_k, where
-    tau^k = 1 + S N_k, so each bit costs one product of two large factors."""
+    """N = 1 + tau + ... + tau^(p-1), p >= 2, by doubling on the bits of p
+    from N_2 = 1 + tau: N_2k = N_k + tau^k N_k and N_(k+1) = 1 + tau N_k,
+    where tau^k = 1 + S N_k, so each further bit costs two products of
+    large factors, and one more when it is set."""
     one = IntMatrix.identity(tau.rows)
     s_op = tau - one
-    n = one
-    for bit in bin(p)[3:]:
+    bits = bin(p)[3:]
+    n = one + tau
+    if bits[0] == "1":
+        n = one + tau @ n
+    for bit in bits[1:]:
         n = n + (one + s_op @ n) @ n
         if bit == "1":
             n = one + tau @ n
@@ -322,10 +325,10 @@ def _smith_conjugate(module: CpModule):
     preimage of the torsion, with the Smith diagonal as relations. tau keeps
     it, so U tau U^-1 has a zero lower-left block, and its upper-left and
     lower-right blocks act on the torsion and on the torsion-free quotient.
-    N is a polynomial in tau, so the blocks of U N U^-1 are the parts' N."""
+    N is a polynomial in tau, so the blocks of U N U^-1 are the parts' N.
+    U^-1 is the one that Smith form carries, so no second form inverts U."""
     dec = module.group.smith
-    u_inv = inverse_unimodular(dec.u)
-    return dec, dec.u @ module.tau @ u_inv, dec.u @ module.norm @ u_inv
+    return dec, dec.u @ module.tau @ dec.u_inv, dec.u @ module.norm @ dec.u_inv
 
 
 def _block(mat: IntMatrix, rows: range, cols: range) -> IntMatrix:

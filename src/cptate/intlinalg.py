@@ -15,6 +15,7 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import chain, repeat
 from operator import add, mod, mul, neg, sub
 
@@ -114,7 +115,7 @@ class IntMatrix:
     def identity(cls, n):
         if n < 0:
             raise DimensionMismatch("negative dimensions")
-        return cls._of(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+        return cls._of(n, n, _identity_entries(n))
 
     @classmethod
     def zeros(cls, rows, cols):
@@ -170,7 +171,9 @@ class IntMatrix:
         digits are exact while max|b| < 2^62 and n max|a| max|b| < 2^62,
         which keep every packed and every result entry below 2^63; a
         product outside that bound, or with at most _DOT_ENTRIES entries,
-        takes one dot product per entry."""
+        takes one dot product per entry. A zero factor gives the zero
+        result and a square identity factor the other factor, found by
+        scans in C before any arithmetic."""
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if self.cols != other.rows:
@@ -179,6 +182,12 @@ class IntMatrix:
             )
         m, n, p = self.rows, self.cols, other.cols
         a, b = self.entries, other.entries
+        if not any(a) or not any(b):
+            return IntMatrix._of(m, p, (0,) * (m * p))
+        if m == n and a == _identity_entries(n):
+            return other
+        if n == p and b == _identity_entries(n):
+            return self
         rows = [a[i * n:(i + 1) * n] for i in range(m)]
         small = m * p <= _DOT_ENTRIES
         b_max = 0 if small or not b else max(max(b), -min(b))
@@ -267,6 +276,12 @@ class IntMatrix:
         return f"IntMatrix({self.rows}x{self.cols})"
 
 
+@lru_cache(maxsize=64)
+def _identity_entries(n):
+    """Row-major entries of the n x n identity."""
+    return tuple(1 if i == j else 0 for i in range(n) for j in range(n))
+
+
 @dataclass(frozen=True)
 class SmithDecomposition:
     """u @ source @ v == diag(d1, d2, ...) with d1 | d2 | ... >= 0.
@@ -274,19 +289,19 @@ class SmithDecomposition:
     u and v are unimodular; diagonal holds the min(rows, cols) entries d_i.
     Only d_i, i < rank, are nonzero, so source's columns span the lattice
     with basis d_i * u^-1 e_i: b lies in it iff (u b)_i is divisible by d_i
-    for i < rank and 0 beyond. snf(a, u=False) or snf(a, v=False) sets the
-    transform it leaves out to None; only this module asks for such a
-    form, and none of its other functions returns one.
+    for i < rank and 0 beyond. u_inv is u^-1, formed alongside u, so
+    u @ u_inv == 1. snf(a, u=False) or snf(a, v=False) sets the transforms
+    it leaves out to None (u=False leaves out u and u_inv); only this
+    module asks for such a form, and none of its other functions returns
+    one.
     """
 
     u: IntMatrix
     v: IntMatrix
     diagonal: tuple
     source: IntMatrix
-
-    @property
-    def rank(self):
-        return sum(1 for d in self.diagonal if d != 0)
+    rank: int
+    u_inv: IntMatrix
 
 
 def _find_pivot(s, t, m, n):
@@ -304,8 +319,13 @@ def _find_pivot(s, t, m, n):
     return None if best is None else (best[1], best[2])
 
 
-def snf(a: IntMatrix, *, u: bool = True, v: bool = True) -> SmithDecomposition:
-    """Smith normal form by elimination with minimal-|pivot| selection.
+def _identity_rows(n):
+    return [[0] * i + [1] + [0] * (n - i - 1) for i in range(n)]
+
+
+def _eliminate(s, n, w=None, z=None) -> int:
+    """Bring the first n columns of the rows s to Smith normal form in
+    place, by elimination with minimal-|pivot| selection; returns the rank.
 
     Each pivot alternates two phases until its row and column are clear
     (Cohen, Algorithm 2.4.14): row operations reduce column t below the
@@ -313,39 +333,36 @@ def snf(a: IntMatrix, *, u: bool = True, v: bool = True) -> SmithDecomposition:
     least nonzero remainder into the pivot. Once column t is clear it is
     s[t][t] e_t, as earlier pivots cleared their rows, so
     col_k -= q col_t changes s only at [t][k]; it is mirrored as
-    row_k -= q row_t on w = v^T, which is transposed into v at the end.
-    Row operations are mirrored on u, which rides along as m more columns
-    of s, so u @ a @ v == s holds at every step; the final s is diagonal,
-    nonnegative, with each entry dividing the next.
-
-    The pivots depend on s alone, so a transform that is not carried
-    (u=False or v=False) is None in the result and changes nothing else.
-    Only this module's readers of one transform or none leave one out:
-    kernel reads v, a subquotient's numerator u, and the cokernels that
-    close a subquotient or a class group the diagonal alone.
+    row_k -= q row_t on w = v^T when w is given. Row operations act on
+    whole rows, so the columns of s after the n-th ride along: columns x
+    there come out as U x, U the product of the row operations. When z is
+    given, each row operation on s is undone as a column operation on
+    U^-1, kept as the rows of z = (U^-1)^T. The pivots depend on the first
+    n columns alone, so what rides along changes neither them nor the
+    diagonal. At the end the block is diagonal, nonnegative, with each
+    entry dividing the next.
     """
-    m, n = a.rows, a.cols
-    s = a.to_rows()
-    if u:
-        for i, row in enumerate(s):
-            row.extend(1 if i == j else 0 for j in range(m))
-    w = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if v else None
+    m = len(s)
     for t in range(min(m, n)):
         piv = _find_pivot(s, t, m, n)
         if piv is None:
-            break
+            return t
         i, j = piv
         if s[i][j] < 0:
             s[i] = [-x for x in s[i]]
+            if z:
+                z[i] = [-x for x in z[i]]
         while True:
             # bring row i and column j to the pivot; rows above t are zero
             # in both columns, and every remainder of a positive pivot is
             # positive
             s[t], s[i] = s[i], s[t]
+            if z:
+                z[t], z[i] = z[i], z[t]
             if j != t:
                 for r in s[t:]:
                     r[t], r[j] = r[j], r[t]
-                if v:
+                if w:
                     w[t], w[j] = w[j], w[t]
             row, d = s[t], s[t][t]
             i = j = t
@@ -353,6 +370,8 @@ def snf(a: IntMatrix, *, u: bool = True, v: bool = True) -> SmithDecomposition:
                 q = s[k][t] // d
                 if q:
                     s[k] = [x - q * y for x, y in zip(s[k], row)]
+                    if z:
+                        z[t] = [x + q * y for x, y in zip(z[t], z[k])]
                 if s[k][t] and (i == t or s[k][t] < s[i][t]):
                     i = k
             if i != t:
@@ -361,7 +380,7 @@ def snf(a: IntMatrix, *, u: bool = True, v: bool = True) -> SmithDecomposition:
                 q = row[k] // d
                 if q:
                     row[k] -= q * d
-                    if v:
+                    if w:
                         w[k] = [x - q * y for x, y in zip(w[k], w[t])]
                 if row[k] and (j == t or row[k] < row[j]):
                     j = k
@@ -372,16 +391,44 @@ def snf(a: IntMatrix, *, u: bool = True, v: bool = True) -> SmithDecomposition:
             # divide into row t shrinks it to a gcd on the next pass.
             if d == 1:
                 break
-            bad = next((k for k in range(t + 1, m) if any(x % d for x in s[k][t + 1:n])), None)
+            rest = d.__rmod__
+            bad = next((k for k in range(t + 1, m) if any(map(rest, s[k][t + 1:n]))), None)
             if bad is None:
                 break
             s[t] = [x + y for x, y in zip(row, s[bad])]
+            if z:
+                z[bad] = [x - y for x, y in zip(z[bad], z[t])]
+    return min(m, n)
 
+
+def snf(a: IntMatrix, *, u: bool = True, v: bool = True) -> SmithDecomposition:
+    """Smith normal form with its transforms, by _eliminate.
+
+    u rides along as m more columns of s, so one list operation updates
+    both, and u_inv is formed with it as the rows of its transpose; v is
+    formed as w = v^T and transposed at the end. So u @ a @ v == s holds
+    at every step, and u @ u_inv == 1.
+
+    A transform that is not carried (u=False or v=False) is None in the
+    result and changes nothing else. Only this module's readers of one
+    transform or none leave one out: kernel reads v, and the cokernels
+    that close a subquotient or a class group the diagonal alone.
+    """
+    m, n = a.rows, a.cols
+    s = a.to_rows()
+    if u:
+        for row, e in zip(s, _identity_rows(m)):
+            row.extend(e)
+    w = _identity_rows(n) if v else None
+    z = _identity_rows(m) if u else None
+    rank = _eliminate(s, n, w, z)
     return SmithDecomposition(
         u=IntMatrix._of(m, m, tuple(chain.from_iterable(r[n:] for r in s))) if u else None,
         v=IntMatrix._of(n, n, tuple(chain.from_iterable(zip(*w)))) if v else None,
         diagonal=tuple(s[i][i] for i in range(min(m, n))),
         source=a,
+        rank=rank,
+        u_inv=IntMatrix._of(m, m, tuple(chain.from_iterable(zip(*z)))) if u else None,
     )
 
 
@@ -602,26 +649,37 @@ def _subquotient_relations(group: FgAbGroup, ker_of: IntMatrix, im_ofs) -> list:
     matrix per im_of in im_ofs, for operators that passed the checks of
     induced_subquotient. The numerator is the preimage lattice
     K = {x : ker_of x in L}, obtained by projecting the kernel of
-    [ker_of | relations] onto the first m coordinates; its Smith form is
-    taken once, with u alone, and serves every denominator. With
+    [ker_of | relations] onto the first m coordinates; it is brought to
+    Smith form once, and serves every denominator. With
     u @ K_gens @ v == diag(d), K has the basis d_i * u^-1 e_i (i < rank),
     so a denominator generator x (a column of im_of or of L) has the
-    coordinates (u x)_i / d_i in it; each result is those coordinates as
-    columns, whose cokernel is K modulo the denominator.
+    coordinates (u x)_i / d_i in it. Those generators ride through the
+    elimination of K_gens as extra columns, so u x comes out of it and u
+    itself is never formed; each result is the coordinates of [im_of | L]
+    as columns, whose cokernel is K modulo the denominator.
     """
     m = group.ambient_rank
     rel = group.relations
     k = kernel(ker_of.hstack(rel))
-    num = snf(IntMatrix._of(m, k.cols, k.entries[:m * k.cols]), v=False)
-    out = []
-    for im_of in im_ofs:
-        denom = im_of.hstack(rel)
-        y = num.u @ denom
-        if _first_outside(num, y) is not None:
+    n = k.cols
+    denoms = (*im_ofs, rel)
+    s = [list(chain(k.row(i), *(x.row(i) for x in denoms))) for i in range(m)]
+    rank = _eliminate(s, n)
+    coords = []
+    for i, row in enumerate(s):
+        y = row[n:]
+        if i < rank and not any(map(row[i].__rmod__, y)):
+            coords.append([x // row[i] for x in y])
+        elif i < rank or any(y):
             # cannot happen once the checks pass
             raise CompositeNotZero("denominator generator escapes the numerator lattice")
-        inner = tuple(x // d for i, d in enumerate(num.diagonal[:num.rank]) for x in y.row(i))
-        out.append(IntMatrix._of(num.rank, denom.cols, inner))
+    out = []
+    start, rel_start = 0, sum(x.cols for x in im_ofs)
+    for im_of in im_ofs:
+        stop = start + im_of.cols
+        out.append(IntMatrix._of(rank, im_of.cols + rel.cols, tuple(chain.from_iterable(
+            y[start:stop] + y[rel_start:] for y in coords))))
+        start = stop
     return out
 
 
@@ -629,5 +687,5 @@ def _invariants(relations: IntMatrix) -> tuple:
     """(invariant factors, free rank) of the cokernel of relations, as
     cokernel would give them, for a caller that reads nothing else: they
     come from the Smith diagonal alone, with neither transform formed."""
-    diag = snf(relations, u=False, v=False).diagonal
-    return tuple(d for d in diag if d > 1), relations.rows - sum(1 for d in diag if d)
+    dec = snf(relations, u=False, v=False)
+    return tuple(d for d in dec.diagonal if d > 1), relations.rows - dec.rank

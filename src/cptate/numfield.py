@@ -23,6 +23,7 @@ Everything is exact; no floating point is used anywhere.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -63,6 +64,13 @@ def primes_upto(n: int) -> list:
         if sieve[p]:
             sieve[p * p::p] = bytearray(len(sieve[p * p::p]))
     return [i for i in range(2, n + 1) if sieve[i]]
+
+
+@lru_cache(maxsize=64)
+def _primes_below_power_of_two(bits: int) -> tuple:
+    """All primes below 2^bits. Memoised by bit length, so the fields of a
+    sweep share a few sieves, each at most twice as long as they need."""
+    return tuple(primes_upto((1 << bits) - 1))
 
 
 def factorize(n: int) -> dict:
@@ -362,7 +370,8 @@ def _prime_forms(D: int, bound: int) -> list:
     At 2: b_2 = 1 when D = 1 (mod 8), none when D = 5 (mod 8), and for
     D = 4d' b_2 = 2 (d' mod 2)."""
     forms = []
-    for p in primes_upto(bound):
+    primes = _primes_below_power_of_two(bound.bit_length())
+    for p in primes[:bisect_right(primes, bound)]:
         if p == 2:
             if D % 8 == 5:
                 continue

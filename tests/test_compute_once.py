@@ -142,28 +142,55 @@ def test_example_from_a_validated_h1_validates_no_part(monkeypatch, make, args):
     assert counts["new_cp_module"] == 0
 
 
-def _count_snf(monkeypatch):
-    """Counters of the snf calls made inside intlinalg and from cpmod."""
-    return (_count_calls(monkeypatch, intlinalg, ("snf",)),
-            _count_calls(monkeypatch, cpmod, ("snf",)))
+def _count_smith_forms(monkeypatch):
+    """Counter of the Smith forms taken: every snf, and every subquotient
+    numerator, goes through the one elimination routine."""
+    return _count_calls(monkeypatch, intlinalg, ("_eliminate",))
+
+
+def _count_products(monkeypatch):
+    """Counter of the matrix products formed, those by 0 and 1 included."""
+    counts = Counter()
+    product = IntMatrix.__matmul__
+
+    def counted(self, other):
+        counts["products"] += 1
+        return product(self, other)
+
+    monkeypatch.setattr(IntMatrix, "__matmul__", counted)
+    return counts
 
 
 @pytest.mark.parametrize("d, calls", [(10, 14), (-21, 13)])
 def test_field_report_smith_form_count(monkeypatch, d, calls):
     # a work counter, not a time gate: a redundant Smith form raises it
     _clear_caches()
-    counts = _count_snf(monkeypatch)
+    counts = _count_smith_forms(monkeypatch)
     numfield.field_report(d)
-    assert sum(c["snf"] for c in counts) == calls
+    assert counts["_eliminate"] == calls
 
 
 @pytest.mark.parametrize("make, args, calls",
-                         [(mfld.example_lens, (5,), 17), (mfld.example_hempel, (3, 4), 16)],
+                         [(mfld.example_lens, (5,), 16), (mfld.example_hempel, (3, 4), 15)],
                          ids=CASE_IDS)
 def test_example_smith_form_count(monkeypatch, make, args, calls):
-    counts = _count_snf(monkeypatch)
+    # the relations' Smith form carries U^-1, so the parts need no second
+    # one to invert U (17 and 16 when they took it)
+    counts = _count_smith_forms(monkeypatch)
     mfld.run_all_checks(make(*args))
-    assert sum(c["snf"] for c in counts) == calls
+    assert counts["_eliminate"] == calls
+
+
+@pytest.mark.parametrize("make, args, products",
+                         [(mfld.example_lens, (5,), 43), (mfld.example_hempel, (3, 4), 37)],
+                         ids=CASE_IDS)
+def test_example_product_count(monkeypatch, make, args, products):
+    # a work counter: N starts from 1 + tau, the parts read U^-1 off the
+    # relations' Smith form, and a subquotient's denominators ride through
+    # its numerator's elimination (54 and 48 when each took products)
+    counts = _count_products(monkeypatch)
+    mfld.run_all_checks(make(*args))
+    assert counts["products"] == products
 
 
 def test_example_matrix_validation_count(monkeypatch):

@@ -433,6 +433,27 @@ def test_norm_is_the_plain_sum():
         assert m.norm == total
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 23])
+def test_norm_by_doubling_is_the_plain_sum(p):
+    # _norm doubles from N_2 = 1 + tau; the identity holds for any square
+    # tau, so it is checked on the catalog's modules and lattices, on lens
+    # and hempel in random bases, and on random matrices
+    rng = random.Random(p)
+    taus = [m.tau for m in finite_catalog()]
+    for build in (free_regular_module, augmentation_module, trivial_free_module):
+        taus.append(build(p).tau)
+    for h1 in (example_lens(p).h1, example_hempel(p, 3).h1):
+        taus += [conjugate(h1, *random_unimodular(rng, h1.ambient_rank)).tau for _ in range(3)]
+    taus += [IntMatrix(m, m, tuple(rng.randint(-2, 2) for _ in range(m * m)))
+             for m in (0, 1, 2, 5)]
+    for tau in taus:
+        power = total = IntMatrix.identity(tau.rows)
+        for _ in range(p - 1):
+            power = tau @ power
+            total = total + power
+        assert cpmod._norm(tau, p) == total
+
+
 def _assert_parts_validate(m):
     # tor_module and free_module skip validation; the validated constructor
     # must accept each part and rebuild the same module and norm

@@ -178,6 +178,24 @@ def test_products_of_every_shape_up_to_24():
                                 _random_entries(rng, n, entries // m, bits))
 
 
+def test_products_by_zero_and_identity_of_every_shape_up_to_24():
+    # a zero factor and a square identity factor skip the arithmetic, on
+    # either side; every shape, with 0 x n and n x 0 among them, against
+    # one dot product per entry
+    rng = random.Random(17)
+    for m in range(25):
+        for n in range(25):
+            a = _random_entries(rng, m, n, rng.choice((1, 8, 70)))
+            k = rng.randint(0, 24)
+            for left, right in ((a, IntMatrix.identity(n)), (IntMatrix.identity(m), a),
+                                (a, IntMatrix.zeros(n, k)), (IntMatrix.zeros(k, m), a)):
+                got = left @ right
+                cols = [right.entries[j::right.cols] for j in range(right.cols)]
+                assert (got.rows, got.cols) == (left.rows, right.cols)
+                assert got.entries == tuple(sum(x * y for x, y in zip(left.row(i), c))
+                                            for i in range(left.rows) for c in cols)
+
+
 @pytest.mark.parametrize("n, a_max, b_max", [
     # n a_max b_max = 2^62 - 1 = 3 * 715827883 * 2147483647, the largest packed
     (1, 1, (1 << 62) - 1), (3, 2147483647, 715827883), (1, 2147483647, 2147483649),
@@ -229,6 +247,10 @@ def check_snf_contract(a):
     assert all(x >= 0 for x in diag)
     for x, y in zip(diag, diag[1:]):
         assert (x == 0 and y == 0) or (x != 0 and y % x == 0)
+    assert dec.rank == sum(1 for x in diag if x)
+    # the group keeps the form with u^-1, which the torsion and free parts read
+    kept = cokernel(a).smith
+    assert kept.u @ kept.u_inv == IntMatrix.identity(a.rows)
     return dec
 
 
@@ -279,6 +301,30 @@ def test_snf_of_every_shape_up_to_24():
         check_snf_contract(_low_rank(rng, n, n, n // 2, 2))
 
 
+def _assert_carried_columns(rng, a):
+    # columns after the first n ride through the elimination as U x, and
+    # the pivots are those of snf(a)
+    x = _random_entries(rng, a.rows, rng.randint(0, 6), rng.choice((1, 16)))
+    rows = a.hstack(x).to_rows()
+    rank = intlinalg._eliminate(rows, a.cols)
+    dec = snf(a)
+    assert rank == dec.rank
+    assert tuple(rows[i][i] for i in range(min(a.rows, a.cols))) == dec.diagonal
+    assert IntMatrix.from_rows([r[a.cols:] for r in rows], cols=x.cols) == dec.u @ x
+
+
+def test_carried_columns_come_out_as_u_times_the_columns():
+    # the random shapes of test_snf_of_every_shape_up_to_24
+    rng = random.Random(15)
+    for _ in range(100):
+        m, n = rng.randint(0, 24), rng.randint(0, 24)
+        _assert_carried_columns(rng, _random_entries(rng, m, n, rng.choice((1, 4, 16))))
+        _assert_carried_columns(rng, _low_rank(rng, m, n, rng.randint(0, min(m, n, 4)), 3))
+    for n in range(25):
+        _assert_carried_columns(rng, _random_entries(rng, n, n, 3))
+        _assert_carried_columns(rng, _low_rank(rng, n, n, n // 2, 2))
+
+
 def test_snf_of_long_entries():
     rng = random.Random(100)
     for _ in range(20):
@@ -298,6 +344,8 @@ def _assert_transforms_left_out_alike(a):
     full = snf(a)
     v_only, u_only, neither = snf(a, u=False), snf(a, v=False), snf(a, u=False, v=False)
     assert v_only.u is u_only.v is neither.u is neither.v is None
+    assert v_only.u_inv is neither.u_inv is None and u_only.u_inv == full.u_inv
+    assert v_only.rank == u_only.rank == neither.rank == full.rank
     assert v_only.diagonal == u_only.diagonal == neither.diagonal == full.diagonal
     assert v_only.v == full.v and u_only.u == full.u
     n, r = a.cols, full.rank
