@@ -665,20 +665,17 @@ def _subquotient_relations(group: FgAbGroup, ker_of: IntMatrix, im_ofs) -> list:
     denoms = (*im_ofs, rel)
     s = [list(chain(k.row(i), *(x.row(i) for x in denoms))) for i in range(m)]
     rank = _eliminate(s, n)
-    coords = []
-    for i, row in enumerate(s):
-        y = row[n:]
-        if i < rank and not any(map(row[i].__rmod__, y)):
-            coords.append([x // row[i] for x in y])
-        elif i < rank or any(y):
-            # cannot happen once the checks pass
-            raise CompositeNotZero("denominator generator escapes the numerator lattice")
+    y = [row[n:] for row in s]
+    if any(map(any, y[rank:])) or any(any(map(s[i][i].__rmod__, y[i])) for i in range(rank)):
+        # cannot happen once the checks pass
+        raise CompositeNotZero("denominator generator escapes the numerator lattice")
+    coords = [[x // s[i][i] for x in y[i]] for i in range(rank)]
     out = []
     start, rel_start = 0, sum(x.cols for x in im_ofs)
     for im_of in im_ofs:
         stop = start + im_of.cols
         out.append(IntMatrix._of(rank, im_of.cols + rel.cols, tuple(chain.from_iterable(
-            y[start:stop] + y[rel_start:] for y in coords))))
+            c[start:stop] + c[rel_start:] for c in coords))))
         start = stop
     return out
 

@@ -187,7 +187,8 @@ def test_example_smith_form_count(monkeypatch, make, args, calls):
 def test_example_product_count(monkeypatch, make, args, products):
     # a work counter: N starts from 1 + tau, the parts read U^-1 off the
     # relations' Smith form, and a subquotient's denominators ride through
-    # its numerator's elimination (54 and 48 when each took products)
+    # its numerator's elimination (54 and 48 when the parts inverted U
+    # and each denominator took a product)
     counts = _count_products(monkeypatch)
     mfld.run_all_checks(make(*args))
     assert counts["products"] == products
