@@ -2,14 +2,17 @@
 
 A module is a finitely generated abelian group G = Z^m / L together with
 an integer matrix tau whose induced map on G is an automorphism of order
-dividing p. With S = tau - 1 and N = 1 + tau + ... + tau^(p-1), which every
-module keeps as its `norm`, computed once when the module is built:
+dividing p. Building a CpModule checks that, so every module is valid.
+With S = tau - 1 and N = 1 + tau + ... + tau^(p-1), which every module
+keeps as its `norm`, computed once when the module is built:
 
     H^0 = Ker S / Im N        (fixed points modulo norms)
     H^1 = Ker N / Im S
 
 Both are elementary abelian p-groups, and for finite G they have equal
-rank (the Herbrand quotient is trivial).
+rank (the Herbrand quotient is trivial). S and N are polynomials in tau
+that descend to G, and S N = N S = tau^p - 1 vanishes there, so the Tate
+layer forms its subquotients with no check of its own.
 """
 
 from __future__ import annotations
@@ -23,12 +26,9 @@ from .intlinalg import (
     IntMatrix,
     cokernel,
     snf,
-    _check_composite,
-    _check_descends,
     _cokernel_of,
     _first_outside,
     _invariants,
-    _subquotient,
     _subquotient_relations,
 )
 
@@ -91,19 +91,51 @@ class CpModule:
     are equal when p, tau and the relations are: one tau on two
     presentations of one group can give non-isomorphic modules.
 
-    norm is always N = 1 + tau + ... + tau^(p-1) of this (tau, p); it
-    is derived from them, so equality and hashing leave it out.
-
-    tate, tate_dim, h0_and_fixed_points and fixed_points check once per
-    call that their operators descend to the group and that the
-    composites they need vanish, and then form each subquotient
-    unchecked; a module built directly rather than through new_cp_module
-    still fails those checks."""
+    Building a module validates it and forms norm, N = 1 + tau + ... +
+    tau^(p-1) of this (tau, p); norm is derived, so equality and hashing
+    leave it out. Checks, in order: p prime, tau of the group's shape,
+    tau preserves the relation lattice, tau induces an automorphism (the
+    lattice spanned by tau's columns together with the relations is all
+    of Z^m), and tau^p = 1 on the group, tested on residues first when
+    N's entries can be long (see _order_fails_mod) and then exactly as
+    S N = tau^p - 1 = 0 there (tau^(p-1) inverts a tau of order p, so the
+    invertibility test only names the error once the order test fails).
+    The checks read the Smith form the group keeps, so none takes a
+    second one of the relations. The torsion and free parts cut from a valid module are
+    valid, and _of builds them unchecked."""
 
     p: int
     group: FgAbGroup
     tau: IntMatrix
-    norm: IntMatrix = field(repr=False)
+    norm: IntMatrix = field(init=False, repr=False)
+
+    def __post_init__(self):
+        p, group, tau = self.p, self.group, self.tau
+        if not is_prime(p):
+            raise NotPrime(f"p = {p} is not prime")
+        m, relations, rel_dec = group.ambient_rank, group.relations, group.smith
+        if tau.rows != m or tau.cols != m:
+            raise CpModuleError(f"tau must be {m}x{m}, got {tau.rows}x{tau.cols}")
+        if _first_outside(rel_dec, rel_dec.u @ (tau @ relations)) is not None:
+            raise TauDoesNotDescend("tau does not map the relation lattice into itself")
+        norm_bits = p * (m * max(map(abs, tau.entries), default=0)).bit_length()
+        wrong_order = norm_bits > _SHORT_NORM_BITS and _order_fails_mod(rel_dec, tau, p)
+        norm = None if wrong_order else _norm(tau, p)
+        if wrong_order or _first_outside(rel_dec, rel_dec.u @ (tau @ norm - norm)) is not None:
+            # surjectivity on a f.g. group is equivalent to invertibility
+            if not cokernel(tau.hstack(relations)).is_trivial:
+                raise TauNotInvertible("tau is not surjective on the group")
+            raise TauOrderNotDividingP(f"tau^{p} is not the identity on the group")
+        object.__setattr__(self, "norm", norm)
+
+    @classmethod
+    def _of(cls, p, group, tau, norm):
+        """Trusted constructor for a part cut from a valid module, which is
+        valid too: norm must be N of (tau, p); __post_init__'s checks are
+        skipped."""
+        m = object.__new__(cls)
+        m.__dict__.update(p=p, group=group, tau=tau, norm=norm)
+        return m
 
     def __eq__(self, other):
         return (isinstance(other, CpModule) and (self.p, self.tau) == (other.p, other.tau)
@@ -171,39 +203,14 @@ def _order_fails_mod(rel_dec, tau: IntMatrix, p: int) -> bool:
 
 
 def new_cp_module(p: int, relations: IntMatrix, tau: IntMatrix) -> CpModule:
-    """Validated constructor.
-
-    Checks, in order: p prime, shapes consistent, tau preserves the
-    relation lattice, tau induces an automorphism (the lattice spanned by
-    tau's columns together with the relations is all of Z^m), and
-    tau^p = 1 on the group, tested on residues first when N's entries can
-    be long (see _order_fails_mod) and then exactly as
-    S N = tau^p - 1 = 0 there (tau^(p-1) inverts a tau of order p, so the
-    invertibility test only names the error once the order test fails).
-    """
-    if not is_prime(p):
-        raise NotPrime(f"p = {p} is not prime")
-    m = relations.rows
-    if tau.rows != m or tau.cols != m:
-        raise CpModuleError(f"tau must be {m}x{m}, got {tau.rows}x{tau.cols}")
-    rel_dec = snf(relations)
-    group = _cokernel_of(rel_dec)
-    if _first_outside(rel_dec, rel_dec.u @ (tau @ relations)) is not None:
-        raise TauDoesNotDescend("tau does not map the relation lattice into itself")
-    norm_bits = p * (m * max(map(abs, tau.entries), default=0)).bit_length()
-    wrong_order = norm_bits > _SHORT_NORM_BITS and _order_fails_mod(rel_dec, tau, p)
-    norm = None if wrong_order else _norm(tau, p)
-    if wrong_order or _first_outside(rel_dec, rel_dec.u @ (tau @ norm - norm)) is not None:
-        # surjectivity on a f.g. group is equivalent to invertibility
-        if not cokernel(tau.hstack(relations)).is_trivial:
-            raise TauNotInvertible("tau is not surjective on the group")
-        raise TauOrderNotDividingP(f"tau^{p} is not the identity on the group")
-    return CpModule(p=p, group=group, tau=tau, norm=norm)
+    """The module Z^m / (columns of relations) with tau acting, validated
+    as CpModule validates; its group keeps the relations' Smith form."""
+    return CpModule(p, _cokernel_of(snf(relations)), tau)
 
 
 def trivial_module(p: int, group: FgAbGroup) -> CpModule:
     """The group with tau acting as the identity."""
-    return new_cp_module(p, group.relations, IntMatrix.identity(group.ambient_rank))
+    return CpModule(p, group, IntMatrix.identity(group.ambient_rank))
 
 
 @dataclass(frozen=True)
@@ -212,61 +219,42 @@ class TateCohomology:
     dim_h1: int
 
 
-def _checked_operators(module: CpModule, q: int):
-    """(ker_of, im_of) of H^q, (S, N) for q = 0 and (N, S) for q = 1,
-    after the checks of induced_subquotient(group, ker_of, im_of): both
-    descend to the group, and ker_of im_of vanishes on it."""
-    if q not in (0, 1):
-        raise ValueError(f"Tate degree must be 0 or 1, got {q}")
-    s_op = module.tau - IntMatrix.identity(module.ambient_rank)
-    ker_of, im_of = (s_op, module.norm) if q == 0 else (module.norm, s_op)
-    _check_descends(module.group, (("ker_of", ker_of), ("im_of", im_of)))
-    _check_composite(module.group, ker_of, im_of)
-    return ker_of, im_of
-
-
 def _elementary_dim(module: CpModule, q: int, relations: IntMatrix) -> int:
     """F_p dimension of H^q, presented by relations. The construction
     guarantees elementary abelian p-group output; a violation would mean
-    the module failed validation, so it is treated as an internal error
-    rather than a verdict."""
+    the module's validation was broken, so it is treated as an internal
+    error rather than a verdict."""
     factors, free_rank = _invariants(relations)
     if free_rank or any(f != module.p for f in factors):
         raise CpModuleError(
             f"H^{q} = {cokernel(relations)} is not an elementary abelian {module.p}-group; "
-            "module validation was bypassed or broken"
+            "module validation was broken"
         )
     return len(factors)
 
 
-def _tate_dim(module: CpModule, q: int, ker_of: IntMatrix, im_of: IntMatrix) -> int:
-    """dim H^q = Ker(ker_of) / Im(im_of), for operators that passed
-    _checked_operators."""
+def tate_dim(module: CpModule, q: int) -> int:
+    """F_p dimension of the one Tate group H^q, q = 0 or 1, formed alone:
+    Ker S / Im N for q = 0 and Ker N / Im S for q = 1."""
+    if q not in (0, 1):
+        raise ValueError(f"Tate degree must be 0 or 1, got {q}")
+    s_op = module.tau - IntMatrix.identity(module.ambient_rank)
+    ker_of, im_of = (s_op, module.norm) if q == 0 else (module.norm, s_op)
     (relations,) = _subquotient_relations(module.group, ker_of, (im_of,))
     return _elementary_dim(module, q, relations)
 
 
-def tate_dim(module: CpModule, q: int) -> int:
-    """F_p dimension of the one Tate group H^q, q = 0 or 1, formed alone."""
-    return _tate_dim(module, q, *_checked_operators(module, q))
-
-
 def tate(module: CpModule) -> TateCohomology:
-    """Both Tate groups of the module, with F_p dimensions: tate_dim of
-    each degree, with the descent of S and N checked once."""
-    s_op, norm = _checked_operators(module, 0)
-    # N S stays checked, as a raw-built module's N need not commute with S
-    _check_composite(module.group, norm, s_op)
-    return TateCohomology(dim_h0=_tate_dim(module, 0, s_op, norm),
-                          dim_h1=_tate_dim(module, 1, norm, s_op))
+    """Both Tate groups of the module, with F_p dimensions."""
+    return TateCohomology(dim_h0=tate_dim(module, 0), dim_h1=tate_dim(module, 1))
 
 
 def h0_and_fixed_points(module: CpModule) -> tuple:
     """(dim H^0, fixed points): Ker S modulo Im N and modulo 0, two
-    quotients of one preimage of S, with tate_dim(module, 0)'s checks."""
-    s_op, norm = _checked_operators(module, 0)
-    zero = IntMatrix.zeros(module.ambient_rank, module.ambient_rank)
-    h0, fixed = _subquotient_relations(module.group, s_op, (norm, zero))
+    quotients of one preimage of S."""
+    m = module.ambient_rank
+    s_op = module.tau - IntMatrix.identity(m)
+    h0, fixed = _subquotient_relations(module.group, s_op, (module.norm, IntMatrix.zeros(m, m)))
     return _elementary_dim(module, 0, h0), cokernel(fixed)
 
 
@@ -282,9 +270,8 @@ def fixed_points(module: CpModule) -> FgAbGroup:
     """The subgroup of elements fixed by tau, as an abstract group."""
     m = module.ambient_rank
     s_op = module.tau - IntMatrix.identity(m)
-    # the zero denominator descends and S 0 = 0, so only S is checked
-    _check_descends(module.group, (("ker_of", s_op),))
-    return _subquotient(module.group, s_op, IntMatrix.zeros(m, m))
+    (fixed,) = _subquotient_relations(module.group, s_op, (IntMatrix.zeros(m, m),))
+    return cokernel(fixed)
 
 
 @dataclass(frozen=True)
@@ -315,8 +302,7 @@ def classify_free(module: CpModule) -> TypeMultiplicities:
 
 def sharp_dual(module: CpModule) -> CpModule:
     """Same group, generator acting by the inverse automorphism."""
-    inv = module.tau.power(module.p - 1)
-    return new_cp_module(module.p, module.group.relations, inv)
+    return CpModule(module.p, module.group, module.tau.power(module.p - 1))
 
 
 def _smith_conjugate(module: CpModule):
@@ -343,8 +329,8 @@ def free_module(module: CpModule, conjugated=None) -> CpModule:
     both parts, so the conjugation is formed once."""
     dec, tau, norm = conjugated or _smith_conjugate(module)
     free = range(dec.rank, module.ambient_rank)
-    return CpModule(module.p, cokernel(IntMatrix.zeros(len(free), 0)),
-                    _block(tau, free, free), _block(norm, free, free))
+    return CpModule._of(module.p, cokernel(IntMatrix.zeros(len(free), 0)),
+                        _block(tau, free, free), _block(norm, free, free))
 
 
 def tor_module(module: CpModule, conjugated=None) -> CpModule:
@@ -358,7 +344,7 @@ def tor_module(module: CpModule, conjugated=None) -> CpModule:
     diag = dec.diagonal
     rel = IntMatrix._of(dec.rank, dec.rank, tuple(diag[i] if i == j else 0
                                                   for i in tor for j in tor))
-    return CpModule(module.p, cokernel(rel), _block(tau, tor, tor), _block(norm, tor, tor))
+    return CpModule._of(module.p, cokernel(rel), _block(tau, tor, tor), _block(norm, tor, tor))
 
 
 def star_dual(module: CpModule) -> CpModule:

@@ -603,21 +603,14 @@ def induced_subquotient(group: FgAbGroup, ker_of: IntMatrix, im_of: IntMatrix) -
     """Ker(ker_of) / Im(im_of) inside group = Z^m / L.
 
     Both matrices are endomorphisms of Z^m that must descend to group,
-    and im_of must land inside the kernel of ker_of there; both are
-    checked (_check_descends, _check_composite) before _subquotient
-    computes the result. A caller that forms several subquotients from
-    one pair of operators can run each check once and call the core.
+    and im_of must land inside the kernel of ker_of there; all shapes,
+    then both descents, then the composite are checked before the result
+    is formed. A valid module's S and N pass these checks by
+    construction, so its Tate groups go to _subquotient_relations
+    directly.
     """
-    _check_descends(group, (("ker_of", ker_of), ("im_of", im_of)))
-    _check_composite(group, ker_of, im_of)
-    return _subquotient(group, ker_of, im_of)
-
-
-def _check_descends(group: FgAbGroup, named) -> None:
-    """Raise unless every (name, mat) in named is an m x m matrix that
-    maps the relation lattice of group = Z^m / L into L. All shapes are
-    checked before any descent."""
     m = group.ambient_rank
+    named = (("ker_of", ker_of), ("im_of", im_of))
     for name, mat in named:
         if mat.rows != m or mat.cols != m:
             raise DimensionMismatch(f"{name} must be {m}x{m}, got {mat.rows}x{mat.cols}")
@@ -627,33 +620,23 @@ def _check_descends(group: FgAbGroup, named) -> None:
         if j is not None:
             raise MatrixDoesNotDescend(
                 f"{name} maps relation column {j} outside the relation lattice")
-
-
-def _check_composite(group: FgAbGroup, ker_of: IntMatrix, im_of: IntMatrix) -> None:
-    """Raise unless ker_of @ im_of is zero on group."""
-    rel_dec = group.smith
     j = _first_outside(rel_dec, rel_dec.u @ (ker_of @ im_of))
     if j is not None:
         raise CompositeNotZero(f"ker_of @ im_of is nonzero on the group (generator {j})")
-
-
-def _subquotient(group: FgAbGroup, ker_of: IntMatrix, im_of: IntMatrix) -> FgAbGroup:
-    """induced_subquotient without its checks, for operators that passed
-    them."""
     (relations,) = _subquotient_relations(group, ker_of, (im_of,))
     return cokernel(relations)
 
 
 def _subquotient_relations(group: FgAbGroup, ker_of: IntMatrix, im_ofs) -> list:
     """Relations presenting Ker(ker_of) / Im(im_of) inside group, one
-    matrix per im_of in im_ofs, for operators that passed the checks of
-    induced_subquotient. The numerator is the preimage lattice
-    K = {x : ker_of x in L}, obtained by projecting the kernel of
-    [ker_of | relations] onto the first m coordinates; it is brought to
-    Smith form once, and serves every denominator. With
-    u @ K_gens @ v == diag(d), K has the basis d_i * u^-1 e_i (i < rank),
-    so a denominator generator x (a column of im_of or of L) has the
-    coordinates (u x)_i / d_i in it. Those generators ride through the
+    matrix per im_of in im_ofs, for operators that pass the checks of
+    induced_subquotient, as a valid module's S and N do. The numerator
+    is the preimage lattice K = {x : ker_of x in L}, obtained by
+    projecting the kernel of [ker_of | relations] onto the first m
+    coordinates; it is brought to Smith form once, and serves every
+    denominator. With u @ K_gens @ v == diag(d), K has the basis
+    d_i * u^-1 e_i (i < rank), so a denominator generator x (a column of
+    im_of or of L) has the coordinates (u x)_i / d_i in it. Those generators ride through the
     elimination of K_gens as extra columns, so u x comes out of it and u
     itself is never formed; each result is the coordinates of [im_of | L]
     as columns, whose cokernel is K modulo the denominator.
@@ -667,7 +650,7 @@ def _subquotient_relations(group: FgAbGroup, ker_of: IntMatrix, im_ofs) -> list:
     rank = _eliminate(s, n)
     y = [row[n:] for row in s]
     if any(map(any, y[rank:])) or any(any(map(s[i][i].__rmod__, y[i])) for i in range(rank)):
-        # cannot happen once the checks pass
+        # cannot happen for operators that pass the checks
         raise CompositeNotZero("denominator generator escapes the numerator lattice")
     coords = [[x // s[i][i] for x in y[i]] for i in range(rank)]
     out = []

@@ -49,8 +49,9 @@ class ManifoldExample:
     def __post_init__(self):
         if self.s < 0:
             raise ValueError("branch count must be >= 0")
-        # both derived submodules must exist; raises if h1 is broken.
-        # Only the Tate groups the checks read are formed
+        # h1 is valid by construction, so its torsion and free parts are
+        # cut from it unchecked. Only the Tate groups the checks read are
+        # formed
         conjugated = _smith_conjugate(self.h1)
         tor = tor_module(self.h1, conjugated)
         free = free_module(self.h1, conjugated)

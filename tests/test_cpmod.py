@@ -5,11 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cptate import (
-    CompositeNotZero,
     CpModule,
     CpModuleError,
     IntMatrix,
-    MatrixDoesNotDescend,
     ModuleNotFinite,
     ModuleNotTorsionFree,
     NotPrime,
@@ -319,24 +317,6 @@ def _tate_dims(m):
     return co.dim_h0, co.dim_h1
 
 
-def _outcome(fn, m):
-    try:
-        return fn(m)
-    except Exception as err:
-        return type(err), str(err)
-
-
-def _checked_dim(m, q):
-    """dim H^q as the checked induced_subquotient of its pair."""
-    s_op = m.tau - IntMatrix.identity(m.ambient_rank)
-    ker_of, im_of = (s_op, m.norm) if q == 0 else (m.norm, s_op)
-    return len(induced_subquotient(m.group, ker_of, im_of).invariant_factors)
-
-
-def _checked_h0_and_fixed_points(m):
-    return _checked_dim(m, 0), _checked_fixed_points(m)
-
-
 def test_one_degree_matches_tate():
     rng = random.Random(23)
     mods = finite_catalog()
@@ -362,49 +342,50 @@ def test_one_degree_matches_tate():
 
 
 def test_tate_and_fixed_points_match_the_checked_route():
+    # the checked route runs every check the Tate layer leaves to
+    # construction, so it pins that each module here passes them: modules
+    # from new_cp_module, the parts that _of builds unchecked, and the
+    # modules built on a group they already hold
     rng = random.Random(17)
-    mods = finite_catalog()
+    catalog = finite_catalog()
+    h1s = []
     for example in (example_lens(5), example_hempel(3, 4)):
         h1 = example.h1
-        mods += [h1] + [conjugate(h1, *random_unimodular(rng, h1.ambient_rank)) for _ in range(4)]
-    for m in mods:
-        assert _tate_dims(m) == _checked_tate(m)
-        assert fixed_points(m) == _checked_fixed_points(m)
+        h1s += [h1] + [conjugate(h1, *random_unimodular(rng, h1.ambient_rank)) for _ in range(4)]
+    lattices = [build(p) for p in PRIMES
+                for build in (free_regular_module, augmentation_module, trivial_free_module)]
+    parts = [part(m) for m in catalog + h1s for part in (tor_module, free_module)]
+    sample = rng.sample(catalog, 24) + h1s
+    duals = [sharp_dual(m) for m in sample]
+    duals += [star_dual(m) for m in lattices + [free_module(h1) for h1 in h1s]]
+    trivials = [trivial_module(m.p, m.group) for m in sample]
+    for m in catalog + h1s + parts + duals + trivials:
+        dims, fixed = _checked_tate(m), _checked_fixed_points(m)
+        assert _tate_dims(m) == dims
+        assert fixed_points(m) == fixed
+        assert h0_and_fixed_points(m) == (dims[0], fixed)
 
 
 def test_raw_modules_still_fail_every_check():
-    # tate checks each operator once, so a module built without
-    # new_cp_module must still fail as the checked subquotients do,
-    # with the same error
+    # a module is validated when it is built, so inputs that would break
+    # the Tate layer are rejected there, each with its typed error, by
+    # CpModule and new_cp_module alike
     g = from_invariants((2,), free_rank=1)  # relation (2, 0)
     swap = IntMatrix.from_rows([[0, 1], [1, 0]])
-    moves = CpModule(2, g, swap, IntMatrix.identity(2) + swap)
-    with pytest.raises(MatrixDoesNotDescend):
-        tate(moves)
-    with pytest.raises(MatrixDoesNotDescend):
-        fixed_points(moves)
-    # S N = 0 but N S != 0: only the second composite check sees it
+    with pytest.raises(TauDoesNotDescend):
+        CpModule(2, g, swap)
+    with pytest.raises(TauDoesNotDescend):
+        new_cp_module(2, g.relations, swap)
+    # the shear has infinite order; N is formed from tau, not passed in,
+    # so no wrong N can stand beside it
     shear = IntMatrix.from_rows([[1, 1], [0, 1]])
-    not_commuting = CpModule(2, free_abelian(2), shear, IntMatrix.from_rows([[1, 0], [0, 0]]))
-    with pytest.raises(CompositeNotZero):
-        tate(not_commuting)
-    # the one-degree entry checks both operators in each degree, and the
-    # composite of its own degree only
-    for q in (0, 1):
-        with pytest.raises(MatrixDoesNotDescend):
-            tate_dim(moves, q)
-    with pytest.raises(MatrixDoesNotDescend):
-        h0_and_fixed_points(moves)
-    with pytest.raises(CompositeNotZero):
-        tate_dim(not_commuting, 1)
-    wrong_shape = CpModule(2, g, IntMatrix.identity(3), IntMatrix.identity(3))
-    for m in (moves, not_commuting, wrong_shape):
-        assert _outcome(_tate_dims, m) == _outcome(_checked_tate, m)
-        assert _outcome(fixed_points, m) == _outcome(_checked_fixed_points, m)
-        for q in (0, 1):
-            assert (_outcome(lambda m: tate_dim(m, q), m)
-                    == _outcome(lambda m: _checked_dim(m, q), m))
-        assert _outcome(h0_and_fixed_points, m) == _outcome(_checked_h0_and_fixed_points, m)
+    with pytest.raises(TauOrderNotDividingP):
+        CpModule(2, free_abelian(2), shear)
+    with pytest.raises(TypeError):
+        CpModule(2, free_abelian(2), shear, IntMatrix.from_rows([[1, 0], [0, 0]]))
+    with pytest.raises(CpModuleError) as err:
+        CpModule(2, g, IntMatrix.identity(3))
+    assert type(err.value) is CpModuleError
 
 
 # -- structural operators ----------------------------------------------------
