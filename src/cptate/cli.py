@@ -265,10 +265,7 @@ def _load_module_spec(path):
 def cmd_cohomology(args) -> int:
     try:
         p, rel, tau = _load_module_spec(args.spec)
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except SpecFileError as err:
+    except (OSError, SpecFileError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     try:

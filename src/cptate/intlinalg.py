@@ -1,10 +1,10 @@
 """Exact integer linear algebra over Z.
 
-Smith normal form with its unimodular transforms, integer lattice
-membership, cokernel presentations of finitely generated abelian groups,
-and the kernel/image subquotient construction that the cohomology layer
-is built on. Membership, coordinates and quotients of a lattice are all
-read off its one Smith form, which a group keeps from its cokernel.
+Smith normal form with its unimodular transforms, cokernel
+presentations of finitely generated abelian groups, and the kernel/image
+subquotient construction that the cohomology layer is built on.
+Membership, coordinates and quotients of a lattice are all read off its
+one Smith form, which a group keeps from its cokernel.
 
 Everything uses plain Python ints, so there is no overflow anywhere.
 All public values are immutable.
@@ -33,10 +33,6 @@ _TOP_BIT = array("Q", [1 << 63]).tobytes()
 
 class DimensionMismatch(ValueError):
     """Operands have incompatible shapes."""
-
-
-class NotUnimodular(ValueError):
-    """Matrix is not invertible over the integers."""
 
 
 class MatrixDoesNotDescend(ValueError):
@@ -228,15 +224,6 @@ class IntMatrix:
         return IntMatrix._of(self.rows, self.cols, tuple(map(mul, repeat(scalar), self.entries)))
 
     __rmul__ = __mul__
-
-    def apply(self, vec):
-        """Matrix-vector product, returns a tuple of length self.rows."""
-        vec = tuple(vec)
-        if len(vec) != self.cols:
-            raise DimensionMismatch(f"vector length {len(vec)} != cols {self.cols}")
-        n = self.cols
-        return tuple(sum(map(mul, self.entries[i * n:(i + 1) * n], vec))
-                     for i in range(self.rows))
 
     def power(self, k):
         if self.rows != self.cols:
@@ -432,58 +419,6 @@ def snf(a: IntMatrix, *, u: bool = True, v: bool = True) -> SmithDecomposition:
     )
 
 
-def det(a: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if a.rows != a.cols:
-        raise DimensionMismatch("determinant of a non-square matrix")
-    n = a.rows
-    if n == 0:
-        return 1
-    m = a.to_rows()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def inverse_unimodular(a: IntMatrix) -> IntMatrix:
-    """Inverse of a matrix that is invertible over Z."""
-    if a.rows != a.cols:
-        raise NotUnimodular("not square")
-    dec = snf(a)
-    if dec.diagonal != (1,) * a.rows:
-        raise NotUnimodular(f"element divisors {dec.diagonal} != all 1")
-    # u a v == 1  =>  a^-1 == v u
-    return dec.v @ dec.u
-
-
-def lattice_member(a: IntMatrix, b) -> tuple | None:
-    """Solve a @ x == b over Z; returns one solution or None.
-
-    Equivalently: decide whether b lies in the lattice generated by the
-    columns of a, with an explicit coordinate certificate: with
-    u @ a @ v == diag(d), x = v y where y_i = (u b)_i / d_i below the rank.
-    """
-    dec = snf(a)
-    c = dec.u @ IntMatrix(a.rows, 1, tuple(b))
-    if _first_outside(dec, c) is not None:
-        return None
-    y = [x // d for x, d in zip(c.entries, dec.diagonal[:dec.rank])]
-    return dec.v.apply(y + [0] * (a.cols - dec.rank))
-
-
 def kernel(a: IntMatrix) -> IntMatrix:
     """Basis of the integer kernel {x : a @ x == 0}, as matrix columns."""
     dec = snf(a, u=False)
@@ -584,10 +519,6 @@ def _cokernel_of(dec: SmithDecomposition) -> FgAbGroup:
         free_rank=dec.source.rows - dec.rank,
         smith=dec,
     )
-
-
-def free_abelian(n: int) -> FgAbGroup:
-    return cokernel(IntMatrix.zeros(n, 0))
 
 
 def from_invariants(factors, free_rank=0) -> FgAbGroup:

@@ -1,10 +1,12 @@
 """Shared test builders: a seeded catalog of finite C_p-modules assembled
 from trivial/twisted/permutation/cyclotomic blocks under random basis
-changes, plus an element-level Tate oracle that never touches the lattice
-machinery being tested."""
+changes, plus an element-level Tate oracle and a lattice membership test
+that never touch the lattice machinery being tested."""
 
 import random
+from functools import lru_cache
 from itertools import product
+from operator import mul
 from typing import NamedTuple
 
 from cptate import CpModule, IntMatrix, direct_sum, new_cp_module
@@ -151,6 +153,26 @@ def _diagonal_coordinates(relations, m):
                 break
     # the lattice of a diagonal form is spanned by |a_ii| e_i
     return [abs(a[i][i]) if i < k else 0 for i in range(m)], u, u_inv
+
+
+@lru_cache(maxsize=64)
+def _lattice_coordinates(relations: IntMatrix):
+    d, u, _ = _diagonal_coordinates(relations.to_rows(), relations.rows)
+    return d, u
+
+
+def in_lattice(relations: IntMatrix, b) -> bool:
+    """Whether the vector b lies in the lattice spanned by the columns of
+    relations: with u and d from _diagonal_coordinates, the lattice is
+    u^-1 times the one spanned by the d_i e_i, so b lies in it iff each
+    (u b)_i is a multiple of d_i, and 0 where d_i is 0."""
+    d, u = _lattice_coordinates(relations)
+    b = tuple(b)
+    for di, row in zip(d, u):
+        x = sum(map(mul, row, b))
+        if (x % di if di else x) != 0:
+            return False
+    return True
 
 
 def brute_counts(module: CpModule) -> BruteCounts:

@@ -17,18 +17,15 @@ from cptate import (
     TauOrderNotDividingP,
     augmentation_module,
     classify_free,
-    cokernel,
     cpmod,
     direct_sum,
     fixed_points,
-    free_abelian,
     free_module,
     free_regular_module,
     from_invariants,
     h0_and_fixed_points,
     herbrand_check,
     induced_subquotient,
-    lattice_member,
     new_cp_module,
     sharp_dual,
     star_dual,
@@ -46,6 +43,7 @@ from catalog import (
     brute_tate_dims,
     conjugate,
     finite_catalog,
+    in_lattice,
     perm_block,
     random_unimodular,
     trivial_block,
@@ -111,17 +109,19 @@ def test_wrong_order_is_rejected_without_forming_the_norm(monkeypatch):
 
 
 def _expected_error(p, rel, tau):
-    """The error new_cp_module must raise, by lattice membership of the
-    columns of tau rel and of tau^p - 1 formed directly; None if valid."""
-    def inside(mat):
-        return all(lattice_member(rel, mat.entries[j::mat.cols]) is not None
-                   for j in range(mat.cols))
+    """The error new_cp_module must raise, by catalog.in_lattice: the
+    columns of tau rel and of tau^p - 1, formed directly, against the
+    relation lattice, and tau is invertible on the group iff the unit
+    vectors lie in the span of [tau | rel]; None if valid."""
+    def inside(lattice, mat):
+        return all(in_lattice(lattice, mat.entries[j::mat.cols]) for j in range(mat.cols))
 
-    if not inside(tau @ rel):
+    one = IntMatrix.identity(tau.rows)
+    if not inside(rel, tau @ rel):
         return TauDoesNotDescend
-    if inside(tau.power(p) - IntMatrix.identity(tau.rows)):
+    if inside(rel, tau.power(p) - one):
         return None
-    if not cokernel(tau.hstack(rel)).is_trivial:
+    if not inside(tau.hstack(rel), one):
         return TauNotInvertible
     return TauOrderNotDividingP
 
@@ -380,9 +380,9 @@ def test_raw_modules_still_fail_every_check():
     # so no wrong N can stand beside it
     shear = IntMatrix.from_rows([[1, 1], [0, 1]])
     with pytest.raises(TauOrderNotDividingP):
-        CpModule(2, free_abelian(2), shear)
+        CpModule(2, from_invariants((), 2), shear)
     with pytest.raises(TypeError):
-        CpModule(2, free_abelian(2), shear, IntMatrix.from_rows([[1, 0], [0, 0]]))
+        CpModule(2, from_invariants((), 2), shear, IntMatrix.from_rows([[1, 0], [0, 0]]))
     with pytest.raises(CpModuleError) as err:
         CpModule(2, g, IntMatrix.identity(3))
     assert type(err.value) is CpModuleError
@@ -450,7 +450,7 @@ def test_catalog_parts_validate():
 
 def test_fixed_points_known():
     assert fixed_points(trivial_module(3, from_invariants((9,)))) == from_invariants((9,))
-    assert fixed_points(free_regular_module(5)) == free_abelian(1)
+    assert fixed_points(free_regular_module(5)) == from_invariants((), 1)
     assert fixed_points(augmentation_module(3)).is_trivial
     g = fixed_points(perm_block(3, 9))
     assert g.invariant_factors == (9,)
@@ -464,7 +464,7 @@ def test_tor_and_free_of_mixed_module():
     assert t.group.invariant_factors == (2, 6)
     assert t.group.free_rank == 0
     f = free_module(mixed)
-    assert f.group == free_abelian(p - 1)
+    assert f.group == from_invariants((), p - 1)
     got = classify_free(f)
     assert (got.f, got.t, got.a) == (0, 0, 1)
 
@@ -472,7 +472,7 @@ def test_tor_and_free_of_mixed_module():
 def test_tor_of_torsion_free_and_free_of_finite():
     m = free_regular_module(3)
     assert tor_module(m).group.is_trivial
-    assert free_module(m).group == free_abelian(3)
+    assert free_module(m).group == from_invariants((), 3)
     fin = trivial_module(3, from_invariants((4,)))
     assert free_module(fin).group.is_trivial
     assert tor_module(fin).group == from_invariants((4,))

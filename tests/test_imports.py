@@ -117,3 +117,16 @@ def test_every_public_method_is_accessed():
     readers = package + [p.read_text(encoding="utf-8")
                          for d in ("tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
     assert unaccessed_methods(package, readers) == []
+
+
+def test_all_lists_exactly_the_imported_names_in_order():
+    # a name dropped from the imports but left in __all__ breaks
+    # `from cptate import *`; one imported but left out is not exported
+    import cptate
+
+    imported = {alias.asname or alias.name
+                for node in ast.parse((SRC / "__init__.py").read_text(encoding="utf-8")).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert cptate.__all__ == sorted(imported)
+    for name in cptate.__all__:
+        getattr(cptate, name)
