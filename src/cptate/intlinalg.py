@@ -493,10 +493,6 @@ class FgAbGroup:
         """Number of invariant factors divisible by p (the p-rank)."""
         return sum(1 for f in self.invariant_factors if f % p == 0)
 
-    def p_part_elementary(self, p):
-        """True when the p-primary part is a direct sum of Z/p's."""
-        return all(f % (p * p) for f in self.invariant_factors)
-
     def __str__(self):
         parts = []
         if self.free_rank == 1:

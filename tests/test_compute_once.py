@@ -3,6 +3,7 @@ checks only read the stored record. Fields share the cohomology of their
 class module by the isomorphism type of its 2-primary part, and of their
 unit module by sign."""
 
+import math
 from collections import Counter
 from dataclasses import fields, replace
 
@@ -93,7 +94,8 @@ def test_narrow_class_group_walks_one_cycle_per_inverse_pair(monkeypatch):
     # cycle of the inverse class, so a class and its inverse cost one walk,
     # and a cycle that is its own mirror is walked halfway. A walk takes a
     # step per form it visits and one more on such a cycle (full walks took
-    # 576 steps); the 192 rho steps are reductions
+    # 576 steps); the 130 rho steps reduce composites, as every prime form
+    # starts out reduced
     steps = Counter()
     walk = numfield._walk_cycle
 
@@ -107,7 +109,58 @@ def test_narrow_class_group_walks_one_cycle_per_inverse_pair(monkeypatch):
     data = numfield._class_data.__wrapped__(1000001)
     assert data.narrow_invariants == (94,)
     assert steps["walk"] == 568
-    assert counts["_rho"] == 192
+    assert counts["_rho"] == 130
+
+
+def _square_root_lookups(ds):
+    """How many square roots modulo each odd prime the fields ds look up:
+    one per field whose bound reaches p, unless p divides D."""
+    lookups = Counter()
+    for d in ds:
+        D = numfield.quadratic_field(d).discriminant
+        bound = math.isqrt(-D // 3) if d < 0 else math.isqrt(D) // 2
+        lookups.update(p for p in numfield.primes_upto(bound)[1:] if D % p)
+    return lookups
+
+
+def test_a_sweep_builds_each_primes_square_root_table_once(monkeypatch):
+    # a work counter: the first p >> 5 lookups of p run Tonelli-Shanks, the
+    # next builds p's table and every later one reads it; the fields near
+    # 10^6 reach primes up to 1154, and a sweep of them, or two, builds the
+    # tables of the smaller primes only
+    _clear_caches()
+    counts = _count_calls(
+        monkeypatch, numfield, ("_sqrt_mod_prime", "_sqrt_table"))
+    ds = [d for d in range(10**6, 10**6 + 20) if numfield.is_squarefree(d)]
+    ds += [-d for d in ds]
+    for sweeps in (1, 2):
+        if sweeps == 2:
+            numfield._class_data.cache_clear()
+        for d in ds:
+            numfield.class_number(d)
+        lookups = {p: n * sweeps for p, n in _square_root_lookups(ds).items()}
+        built = [p for p, n in lookups.items() if n > p >> 5]
+        assert 0 < len(built) < len(lookups)
+        assert counts["_sqrt_table"] == len(built)
+        assert counts["_sqrt_mod_prime"] == sum(
+            min(n, p >> 5) for p, n in lookups.items())
+        memo = {p: numfield._sqrt_lookups(p) for p in lookups}
+        assert {p: n for p, (_, n) in memo.items()} == {
+            p: min(n, (p >> 5) + 1) for p, n in lookups.items()}
+        assert [p for p, (table, _) in memo.items() if table] == built
+
+
+@pytest.mark.parametrize("d", [-10000001, 10000001])
+def test_one_field_builds_square_root_tables_only_below_32(monkeypatch, d):
+    # a cold field near 10^7 reads primes up to 3651; tables for p >= 32
+    # wait until a sweep has looked p up p >> 5 times
+    _clear_caches()
+    counts = _count_calls(
+        monkeypatch, numfield, ("_sqrt_mod_prime", "_sqrt_table"))
+    numfield.class_number(d)
+    lookups = _square_root_lookups([d])
+    assert counts["_sqrt_table"] == len([p for p in lookups if p < 32])
+    assert counts["_sqrt_mod_prime"] == len([p for p in lookups if p >= 32])
 
 
 @pytest.mark.parametrize("d", [-21, 10])

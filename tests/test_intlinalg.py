@@ -521,9 +521,6 @@ def test_group_invariants_validation():
     g = from_invariants((2, 4, 4))
     assert g.p_rank(2) == 3 and g.p_rank(3) == 0
     assert g.order == 32
-    assert not g.p_part_elementary(2)
-    assert from_invariants((2, 2)).p_part_elementary(2)
-    assert from_invariants((6,)).p_part_elementary(3)
 
 
 @settings(max_examples=40, deadline=None)

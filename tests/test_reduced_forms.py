@@ -7,9 +7,12 @@ numfield."""
 import math
 
 from cptate.numfield import (
+    _SQRT_TABLE_CAP,
     _class_data,
+    _is_reduced_indefinite,
     _prime_forms,
     _sqrt_mod_prime,
+    _sqrt_table,
     class_number,
     is_squarefree,
     kronecker,
@@ -120,19 +123,46 @@ def test_oracle_cycles_partition_the_reduced_forms():
     assert len(oracle_cycles(4 * 79)) == 6
 
 
+def _table_root(D, p):
+    """The b_p of the prime form at p: at an odd p prime to D, the square
+    root of D in [1, (p - 1)/2] that the table keeps, found here by search,
+    moved to the parity of D."""
+    if p == 2:
+        return 1 if D % 2 else 2 * (D // 4 % 2)
+    if D % p == 0:
+        return p * (D & 1)
+    r = next(r for r in range(1, p) if (r * r - D) % p == 0)
+    return r if (r - D) % 2 == 0 else p - r
+
+
 def test_prime_forms_are_the_split_and_ramified_primes():
+    # for d > 0 every form is moved within its class to the b just below
+    # sqrt(D), and is reduced once 2p <= isqrt(D), so at bound isqrt(D)//2
     for d in _fields(range(1, 400)) + _fields(range(10**5, 10**5 + 8)):
         D = quadratic_field(d).discriminant
-        for bound in (1, 2, 3, 10, math.isqrt(abs(D))):
+        sq = math.isqrt(abs(D))
+        for bound in (1, 2, 3, 10, sq // 2, sq):
             forms = _prime_forms(D, bound)
             assert [p for p, _, _ in forms] == [
                 p for p in primes_upto(bound) if kronecker(D, p) != -1], (d, bound)
             for p, b, c in forms:
-                assert b * b - 4 * p * c == D and (b - D) % 2 == 0, (d, p, b, c)
+                assert b * b - 4 * p * c == D, (d, p, b, c)
+                assert (b - _table_root(D, p)) % (2 * p) == 0, (d, p, b, c)
+                if d > 0 and 2 * p <= sq:
+                    assert _is_reduced_indefinite((p, b, c), D), (d, p, b, c)
 
 
-def test_sqrt_mod_prime_against_euler_criterion():
-    for p in primes_upto(400)[1:]:
+def test_square_root_tables_against_euler_criterion():
+    # every odd prime below the cap: a root in [1, (p - 1)/2] exactly for
+    # the n with n^((p - 1)/2) = 1, and 0 for the others
+    for p in primes_upto(_SQRT_TABLE_CAP - 1)[1:]:
+        table, half = _sqrt_table(p), (p - 1) // 2
+        assert len(table) == p and table[0] == 0, p
+        roots = table[1:]
+        assert [r == 0 for r in roots] == [pow(n, half, p) != 1 for n in range(1, p)], p
+        assert all(r <= half and r * r % p == n for n, r in enumerate(roots, 1) if r), p
+    # above the cap, where Tonelli-Shanks answers instead
+    for p in [p for p in primes_upto(_SQRT_TABLE_CAP + 200) if p > _SQRT_TABLE_CAP][:5]:
         for n in range(1, p):
             r = _sqrt_mod_prime(n, p)
             if pow(n, (p - 1) // 2, p) == 1:
