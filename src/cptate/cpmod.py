@@ -27,6 +27,7 @@ from .intlinalg import (
     cokernel,
     snf,
     _cokernel_of,
+    _cokernel_of_rows,
     _first_outside,
     _invariants,
     _subquotient_relations,
@@ -219,16 +220,16 @@ class TateCohomology:
     dim_h1: int
 
 
-def _elementary_dim(module: CpModule, q: int, relations: IntMatrix) -> int:
-    """F_p dimension of H^q, presented by relations. The construction
-    guarantees elementary abelian p-group output; a violation would mean
-    the module's validation was broken, so it is treated as an internal
-    error rather than a verdict."""
-    factors, free_rank = _invariants(relations)
+def _elementary_dim(module: CpModule, q: int, relations: tuple) -> int:
+    """F_p dimension of H^q, presented by relations, a (rows, cols) pair
+    whose rows are consumed. The construction guarantees an elementary
+    abelian p-group; a violation would mean the module's validation was
+    broken, so it is an internal error rather than a verdict."""
+    factors, free_rank = _invariants(*relations)
     if free_rank or any(f != module.p for f in factors):
         raise CpModuleError(
-            f"H^{q} = {cokernel(relations)} is not an elementary abelian {module.p}-group; "
-            "module validation was broken"
+            f"H^{q} has invariant factors {factors} and free rank {free_rank}, not an "
+            f"elementary abelian {module.p}-group; module validation was broken"
         )
     return len(factors)
 
@@ -255,7 +256,7 @@ def h0_and_fixed_points(module: CpModule) -> tuple:
     m = module.ambient_rank
     s_op = module.tau - IntMatrix.identity(m)
     h0, fixed = _subquotient_relations(module.group, s_op, (module.norm, IntMatrix.zeros(m, m)))
-    return _elementary_dim(module, 0, h0), cokernel(fixed)
+    return _elementary_dim(module, 0, h0), _cokernel_of_rows(*fixed)
 
 
 def herbrand_check(module: CpModule) -> bool:
@@ -271,7 +272,7 @@ def fixed_points(module: CpModule) -> FgAbGroup:
     m = module.ambient_rank
     s_op = module.tau - IntMatrix.identity(m)
     (fixed,) = _subquotient_relations(module.group, s_op, (IntMatrix.zeros(m, m),))
-    return cokernel(fixed)
+    return _cokernel_of_rows(*fixed)
 
 
 @dataclass(frozen=True)

@@ -134,16 +134,11 @@ class IntMatrix:
     @classmethod
     def block_diag(cls, blocks):
         blocks = list(blocks)
-        r = sum(b.rows for b in blocks)
-        c = sum(b.cols for b in blocks)
-        out = [[0] * c for _ in range(r)]
-        i0 = j0 = 0
+        c, j = sum(b.cols for b in blocks), 0
+        out = []
         for b in blocks:
-            for i in range(b.rows):
-                for j in range(b.cols):
-                    out[i0 + i][j0 + j] = b.at(i, j)
-            i0 += b.rows
-            j0 += b.cols
+            out += ([0] * j + list(b.row(i)) + [0] * (c - j - b.cols) for i in range(b.rows))
+            j += b.cols
         return cls.from_rows(out, cols=c)
 
     # -- access -------------------------------------------------------
@@ -278,9 +273,8 @@ class SmithDecomposition:
     with basis d_i * u^-1 e_i: b lies in it iff (u b)_i is divisible by d_i
     for i < rank and 0 beyond. u_inv is u^-1, formed alongside u, so
     u @ u_inv == 1. snf(a, u=False) or snf(a, v=False) sets the transforms
-    it leaves out to None (u=False leaves out u and u_inv); only this
-    module asks for such a form, and none of its other functions returns
-    one.
+    it leaves out to None (u=False leaves out u and u_inv); none of this
+    module's other functions returns such a form.
     """
 
     u: IntMatrix
@@ -397,9 +391,9 @@ def snf(a: IntMatrix, *, u: bool = True, v: bool = True) -> SmithDecomposition:
     at every step, and u @ u_inv == 1.
 
     A transform that is not carried (u=False or v=False) is None in the
-    result and changes nothing else. Only this module's readers of one
-    transform or none leave one out: kernel reads v, and the cokernels
-    that close a subquotient or a class group the diagonal alone.
+    result and changes nothing else. Readers of v alone or of the
+    diagonal alone run _eliminate on row lists instead (_kernel_rows,
+    _invariants), so no form is built for them.
     """
     m, n = a.rows, a.cols
     s = a.to_rows()
@@ -421,12 +415,15 @@ def snf(a: IntMatrix, *, u: bool = True, v: bool = True) -> SmithDecomposition:
 
 def kernel(a: IntMatrix) -> IntMatrix:
     """Basis of the integer kernel {x : a @ x == 0}, as matrix columns."""
-    dec = snf(a, u=False)
-    n, r = a.cols, dec.rank
-    v = dec.v.entries
-    # the last n - r columns of v, read row by row
-    return IntMatrix._of(n, n - r, tuple(chain.from_iterable(
-        v[i * n + r:(i + 1) * n] for i in range(n))))
+    k = _kernel_rows(a.to_rows(), a.cols)
+    return IntMatrix._of(a.cols, len(k), tuple(chain.from_iterable(zip(*k))))
+
+
+def _kernel_rows(s, n) -> list:
+    """Basis of the kernel of the rows s on their first n columns, as
+    rows: the last n - rank rows of w = v^T. s is eliminated in place."""
+    w = _identity_rows(n)
+    return w[_eliminate(s, n, w):]
 
 
 def _first_outside(dec: SmithDecomposition, y: IntMatrix) -> int | None:
@@ -551,29 +548,29 @@ def induced_subquotient(group: FgAbGroup, ker_of: IntMatrix, im_of: IntMatrix) -
     if j is not None:
         raise CompositeNotZero(f"ker_of @ im_of is nonzero on the group (generator {j})")
     (relations,) = _subquotient_relations(group, ker_of, (im_of,))
-    return cokernel(relations)
+    return _cokernel_of_rows(*relations)
 
 
 def _subquotient_relations(group: FgAbGroup, ker_of: IntMatrix, im_ofs) -> list:
     """Relations presenting Ker(ker_of) / Im(im_of) inside group, one
-    matrix per im_of in im_ofs, for operators that pass the checks of
-    induced_subquotient, as a valid module's S and N do. The numerator
-    is the preimage lattice K = {x : ker_of x in L}, obtained by
-    projecting the kernel of [ker_of | relations] onto the first m
-    coordinates; it is brought to Smith form once, and serves every
-    denominator. With u @ K_gens @ v == diag(d), K has the basis
-    d_i * u^-1 e_i (i < rank), so a denominator generator x (a column of
-    im_of or of L) has the coordinates (u x)_i / d_i in it. Those generators ride through the
+    (rows, cols) pair per im_of in im_ofs, for operators that pass the
+    checks of induced_subquotient, as a valid module's S and N do. The
+    numerator is the preimage lattice K = {x : ker_of x in L}, the kernel
+    rows of [ker_of | relations] cut to their first m coordinates; it is
+    brought to Smith form once, and serves every denominator. With
+    u @ K_gens @ v == diag(d), K has the basis d_i * u^-1 e_i (i < rank),
+    so a denominator generator x (a column of im_of or of L) has the
+    coordinates (u x)_i / d_i in it. Those generators ride through the
     elimination of K_gens as extra columns, so u x comes out of it and u
-    itself is never formed; each result is the coordinates of [im_of | L]
-    as columns, whose cokernel is K modulo the denominator.
+    is never formed; each result's rows hold the coordinates of the
+    columns of [im_of | L], and its cokernel is K modulo the denominator.
     """
     m = group.ambient_rank
     rel = group.relations
-    k = kernel(ker_of.hstack(rel))
-    n = k.cols
+    k = _kernel_rows([list(ker_of.row(i) + rel.row(i)) for i in range(m)], m + rel.cols)
+    n = len(k)
     denoms = (*im_ofs, rel)
-    s = [list(chain(k.row(i), *(x.row(i) for x in denoms))) for i in range(m)]
+    s = [[v[i] for v in k] + list(chain(*(x.row(i) for x in denoms))) for i in range(m)]
     rank = _eliminate(s, n)
     y = [row[n:] for row in s]
     if any(map(any, y[rank:])) or any(any(map(s[i][i].__rmod__, y[i])) for i in range(rank)):
@@ -584,15 +581,19 @@ def _subquotient_relations(group: FgAbGroup, ker_of: IntMatrix, im_ofs) -> list:
     start, rel_start = 0, sum(x.cols for x in im_ofs)
     for im_of in im_ofs:
         stop = start + im_of.cols
-        out.append(IntMatrix._of(rank, im_of.cols + rel.cols, tuple(chain.from_iterable(
-            c[start:stop] + c[rel_start:] for c in coords))))
+        out.append(([c[start:stop] + c[rel_start:] for c in coords], im_of.cols + rel.cols))
         start = stop
     return out
 
 
-def _invariants(relations: IntMatrix) -> tuple:
-    """(invariant factors, free rank) of the cokernel of relations, as
-    cokernel would give them, for a caller that reads nothing else: they
-    come from the Smith diagonal alone, with neither transform formed."""
-    dec = snf(relations, u=False, v=False)
-    return tuple(d for d in dec.diagonal if d > 1), relations.rows - dec.rank
+def _cokernel_of_rows(rows, cols) -> FgAbGroup:
+    """The cokernel of the matrix with these rows and cols columns."""
+    return cokernel(IntMatrix._of(len(rows), cols, tuple(chain.from_iterable(rows))))
+
+
+def _invariants(rows, cols) -> tuple:
+    """(invariant factors, free rank) of the cokernel of the matrix with
+    these rows and cols columns, as cokernel gives them, read off the
+    diagonal of one _eliminate of the rows, which it consumes."""
+    rank = _eliminate(rows, cols)
+    return tuple(rows[i][i] for i in range(rank) if rows[i][i] > 1), len(rows) - rank

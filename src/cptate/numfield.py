@@ -9,20 +9,20 @@ p <= sqrt(|D|/3) for d < 0, p <= isqrt(D)/2 for d > 0, the latter with
 Tonelli-Shanks until p has been looked up p/32 times, and after that from
 a table of square roots modulo p (p below 2^12), built once and shared by
 the fields that follow; for d > 0 each prime form is given the b_p just
-below sqrt(D), which makes it reduced. The structure comes
-from one relation lattice on the generators' classes, as the invariant
-factors of its cokernel, read off the Smith diagonal alone;
-it codes each class's coordinates as one int in a base of width 2|D|,
-which exceeds twice the class number. The lattice composes one class of
-each inverse pair and takes the other as the class of (c, b, a): for
+below sqrt(D), which makes it reduced. The structure comes from one
+relation lattice on the generators' classes, k rows of k entries, whose
+invariant factors one _eliminate of the rows reads off the diagonal, with
+no matrix built. The lattice codes each class's coordinates as one int in
+a base of width 2|D|, over twice the class number, and composes one class
+of each inverse pair and takes the other as the class of (c, b, a): for
 d < 0 in closed form, for d > 0 by a lookup, since one walk of a cycle,
 on int keys a M + b, labels the inverse class's cycle too, and a cycle
 that is its own mirror is walked halfway, between its two axes. The wide
-class group is the narrow group modulo the class of (-1, b0, *), one more
-relation column. The class module's cohomology is shared by fields whose
-class groups have one 2-primary part. Fundamental units come from the
-continued fraction of sqrt(d) through the Pell equation u^2 - d v^2 = +-4.
-Everything is exact; no floating point is used anywhere.
+class group is the narrow group modulo the class of (-1, b0, *): a copy
+of the rows with that class's coordinates as one more column. The class
+module's cohomology is shared by fields whose class groups have one
+2-primary part. Fundamental units come from the continued fraction of
+sqrt(d) through the Pell equation u^2 - d v^2 = +-4. Everything is exact.
 """
 
 from __future__ import annotations
@@ -446,7 +446,8 @@ def _prime_forms(D: int, bound: int) -> list:
 
 def _relation_lattice(elements, op, inv, identity, width):
     """Coordinates of every element on greedily chosen generators, and the
-    generators' relations as matrix columns; the group is their cokernel.
+    k rows of a matrix whose columns are the generators' relations; the
+    group is its cokernel.
 
     The next generator g is the first element outside the span so far. For
     i = 1, 2, ... the coset g^i span is filled by composition, with
@@ -488,9 +489,7 @@ def _relation_lattice(elements, op, inv, identity, width):
         *c, e = _decode(coords[power], width, len(relations) + 1)
         relations.append([-t for t in c] + [i - e])
         unit *= width
-    k = len(relations)
-    rel = IntMatrix.from_columns([r + [0] * (k - len(r)) for r in relations], k)
-    return coords, rel
+    return coords, [[r[j] if j < len(r) else 0 for r in relations] for j in range(len(relations))]
 
 
 def _decode(code, width, k):
@@ -573,17 +572,17 @@ def _class_data(d: int) -> ClassData:
     its reduced form at once. For d > 0 one _walk_cycle labels a cycle and
     its mirror, the cycle of the inverse class, so a class and its inverse
     cost one walk and the inverse is the label of (c, b, a)'s key; a cycle
-    that is its own mirror is walked only from one axis to the other, half
-    its length.
+    that is its own mirror is walked from one axis to the other, half of it.
 
     The forms above bound the group's order, and so each n_j of the
     lattice, by |D|: for d < 0 the pairs |b| <= a <= A = isqrt(|D|/3),
     b = D (mod 2), number at most A(A + 3)/2 <= 2A^2 < |D|; for d > 0 the
     pairs 0 < |a| < sqrt(D)/2, 0 < b < sqrt(D), b = D (mod 2), number at
-    most sqrt(D)(sqrt(D) + 1)/2 < D. Hence the lattice width 2|D|, and the
-    wide group's column is decoded from it. The wide group is the narrow
-    group modulo the class of (-1, b0, *), that is the cokernel of the
-    same lattice plus that class's coordinates as one more column."""
+    most sqrt(D)(sqrt(D) + 1)/2 < D. Hence the lattice width 2|D|. The wide
+    group is the narrow group modulo the class of (-1, b0, *), the last
+    generator's: its coordinates are one more column on a copy of the rows,
+    as _invariants consumes them. The groups are finite, and only their
+    invariant factors are read."""
     D = quadratic_field(d).discriminant
     width = 2 * abs(D)
     if d < 0:
@@ -597,8 +596,7 @@ def _class_data(d: int) -> ClassData:
         sq = isqrt(D)
         M = sq + 1
         b0 = D & 1
-        neg = (-1, b0, (D - b0 * b0) // 4)
-        gens = _prime_forms(D, sq // 2) + [neg]
+        gens = _prime_forms(D, sq // 2) + [(-1, b0, (D - b0 * b0) // 4)]
         cycle_of = {}
 
         def label(keys):
@@ -624,15 +622,15 @@ def _class_data(d: int) -> ClassData:
         return cls_of(_compose_raw(x, y, D))
 
     ident = cls_of(_principal_form(D))
-    coords, rel = _relation_lattice(map(cls_of, gens), op, inv, ident, width)
-    # the groups are finite, and only their invariant factors are read
-    narrow, _ = _invariants(rel)
+    classes = [cls_of(f) for f in gens]
+    coords, rows = _relation_lattice(classes, op, inv, ident, width)
     if d < 0:
+        narrow, _ = _invariants(rows, len(rows))
         return _class_record(d, D, narrow, prod(narrow), None, None, None)
-    neg = cls_of(neg)
-    column = _decode(coords[neg], width, rel.rows)
-    wide, _ = _invariants(rel.hstack(IntMatrix.from_columns([column], rel.rows)))
-    return _class_record(d, D, wide, prod(wide), narrow, prod(narrow), neg == ident)
+    column = _decode(coords[classes[-1]], width, len(rows))
+    wide, _ = _invariants([r + [c] for r, c in zip(rows, column)], len(rows) + 1)
+    narrow, _ = _invariants(rows, len(rows))
+    return _class_record(d, D, wide, prod(wide), narrow, prod(narrow), classes[-1] == ident)
 
 
 def class_number(d: int) -> int:

@@ -82,7 +82,7 @@ def test_fields_share_cohomology_by_the_2_primary_part(monkeypatch, steps):
 def test_class_group_composes_once_per_inverse_pair(monkeypatch):
     # a work counter: Cl = Z/2 x Z/516; the lattice composes one class of
     # each inverse pair, never with the principal form, and takes the
-    # other by inversion (composing every coset element made 1547 calls)
+    # other by inversion
     counts = _count_calls(monkeypatch, numfield, ("_compose_raw",))
     data = numfield._class_data.__wrapped__(-1000001)
     assert data.invariants == (2, 516)
@@ -93,8 +93,8 @@ def test_narrow_class_group_walks_one_cycle_per_inverse_pair(monkeypatch):
     # a work counter: h+ = 94; walking a cycle also labels its mirror, the
     # cycle of the inverse class, so a class and its inverse cost one walk,
     # and a cycle that is its own mirror is walked halfway. A walk takes a
-    # step per form it visits and one more on such a cycle (full walks took
-    # 576 steps); the 130 rho steps reduce composites, as every prime form
+    # step per form it visits and one more on such a cycle; the 128 rho
+    # steps reduce composites and, once, (-1, b0, *), as every prime form
     # starts out reduced
     steps = Counter()
     walk = numfield._walk_cycle
@@ -109,7 +109,30 @@ def test_narrow_class_group_walks_one_cycle_per_inverse_pair(monkeypatch):
     data = numfield._class_data.__wrapped__(1000001)
     assert data.narrow_invariants == (94,)
     assert steps["walk"] == 568
-    assert counts["_rho"] == 130
+    assert counts["_rho"] == 128
+
+
+@pytest.mark.parametrize("d, eliminations", [(-1000001, 1), (1000001, 2)])
+def test_class_data_builds_no_matrix(monkeypatch, d, eliminations):
+    # a work counter: with the class module's and the unit module's
+    # cohomology cached, a field's record eliminates its relation rows in
+    # place, once for d < 0 and for d > 0 once more for the wide group,
+    # and builds no validated matrix and takes no snf
+    _clear_caches()
+    numfield._class_data(d)
+    validations = Counter()
+    check = IntMatrix.__post_init__
+
+    def counted(self):
+        validations["validations"] += 1
+        check(self)
+
+    monkeypatch.setattr(IntMatrix, "__post_init__", counted)
+    counts = _count_calls(monkeypatch, intlinalg, ("snf", "_eliminate"))
+    module_snfs = _count_calls(monkeypatch, cpmod, ("snf",))
+    assert numfield._class_data.__wrapped__(d) == numfield._class_data(d)
+    assert validations["validations"] == counts["snf"] == module_snfs["snf"] == 0
+    assert counts["_eliminate"] == eliminations
 
 
 def _square_root_lookups(ds):
@@ -239,9 +262,8 @@ def test_field_report_smith_form_count(monkeypatch, d, calls):
                          ids=CASE_IDS)
 def test_example_smith_form_count(monkeypatch, make, args, calls):
     # the relations' Smith form carries U^-1, so the parts need no second
-    # one to invert U (17 and 16 when they took it), and lens's trivial
-    # Z/p summand is validated on the group it is given, with no second
-    # Smith form of its relations (16 when it took one)
+    # one to invert U, and lens's trivial Z/p summand is validated on the
+    # group it is given, with no second Smith form of its relations
     counts = _count_smith_forms(monkeypatch)
     mfld.run_all_checks(make(*args))
     assert counts["_eliminate"] == calls
@@ -255,8 +277,7 @@ def test_example_product_count(monkeypatch, make, args, products):
     # relations' Smith form, a subquotient's denominators ride through
     # its numerator's elimination, and the Tate groups of a module, valid
     # by construction, recheck neither the descent of S and N nor their
-    # composite (54 and 48 when the parts inverted U and each denominator
-    # took a product; 43 and 37 when each Tate group rechecked)
+    # composite
     counts = _count_products(monkeypatch)
     mfld.run_all_checks(make(*args))
     assert counts["products"] == products

@@ -287,6 +287,31 @@ def test_snf_of_every_shape_up_to_24():
         check_snf_contract(_low_rank(rng, n, n, n // 2, 2))
 
 
+def _assert_invariants_of_rows(a):
+    # _invariants reads the cokernel's invariants off the rows it consumes
+    rows = a.to_rows()
+    group = cokernel(a)
+    assert intlinalg._invariants(rows, a.cols) == (group.invariant_factors, group.free_rank)
+
+
+def test_invariants_of_row_lists_match_the_cokernel():
+    # the random shapes of test_snf_of_every_shape_up_to_24, and the empty
+    # sides 0 x n and m x 0, which have no rows or no entries to eliminate
+    rng = random.Random(15)
+    for _ in range(100):
+        m, n = rng.randint(0, 24), rng.randint(0, 24)
+        _assert_invariants_of_rows(_random_entries(rng, m, n, rng.choice((1, 4, 16))))
+        _assert_invariants_of_rows(_low_rank(rng, m, n, rng.randint(0, min(m, n, 4)), 3))
+    for n in range(25):
+        _assert_invariants_of_rows(_random_entries(rng, n, n, 3))
+        _assert_invariants_of_rows(_low_rank(rng, n, n, n // 2, 2))
+    for k in range(4):
+        _assert_invariants_of_rows(IntMatrix.zeros(0, k))
+        _assert_invariants_of_rows(IntMatrix.zeros(k, 0))
+    assert intlinalg._invariants([], 3) == ((), 0)
+    assert intlinalg._invariants([[], []], 0) == ((), 2)
+
+
 def _assert_carried_columns(rng, a):
     # columns after the first n ride through the elimination as U x, and
     # the pivots are those of snf(a)

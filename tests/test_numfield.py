@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from cptate import (
     CubicRecord,
+    IntMatrix,
     MalformedRecord,
     NotReal,
     NotSquareFree,
@@ -411,7 +412,10 @@ def test_relation_lattice_coordinates_are_a_homomorphism(d):
     else:
         classes, op, inv, ident = narrow_class_group(D)
     width = 2 * abs(D)
-    codes, rel = _relation_lattice(classes, op, inv, ident, width)
+    codes, rows = _relation_lattice(classes, op, inv, ident, width)
+    # k rows of k entries; the relations are their columns
+    assert all(len(r) == len(rows) for r in rows)
+    rel = IntMatrix.from_rows(rows, cols=len(rows))
     assert len(codes) == len(classes) == cokernel(rel).order
 
     def coords(x):
@@ -460,7 +464,8 @@ def test_relation_lattice_on_abstract_abelian_groups():
         def inv(x):
             return tuple(-a % m for a, m in zip(x, moduli))
 
-        codes, rel = _relation_lattice(elements, op, inv, (0,) * len(moduli), width)
+        codes, rows = _relation_lattice(elements, op, inv, (0,) * len(moduli), width)
+        rel = IntMatrix.from_rows(rows, cols=len(rows))
         assert cokernel(rel).invariant_factors == invariants
         assert len(codes) == len(elements)
         diagonals.update(rel.at(j, j) for j in range(rel.rows))
