@@ -184,9 +184,9 @@ def _order_fails_mod(rel_dec, tau: IntMatrix, p: int) -> bool:
     """True when some column of tau^p - 1 lies outside L + l Z^m, L the
     relations' lattice, so that tau^p is not 1 on the group. l is the
     group's exponent e when the group is finite: then e Z^m lies in L and
-    the test is exact. Otherwise l = _RESIDUE_PRIME. With u L v = diag(d),
-    x lies in L + l Z^m iff (u x)_i is 0 modulo gcd(d_i, l) below the rank
-    and modulo l beyond it."""
+    the test is exact. Otherwise l = _RESIDUE_PRIME. With u L = diag(d) w,
+    w unimodular, x lies in L + l Z^m iff (u x)_i is 0 modulo gcd(d_i, l)
+    below the rank and modulo l beyond it."""
     m, rank = tau.rows, rel_dec.rank
     ell = rel_dec.diagonal[rank - 1] if rank == m else _RESIDUE_PRIME
 
@@ -306,46 +306,42 @@ def sharp_dual(module: CpModule) -> CpModule:
     return CpModule(module.p, module.group, module.tau.power(module.p - 1))
 
 
-def _smith_conjugate(module: CpModule):
-    """The Smith form of the relations that the group keeps, and tau and N
-    in its coordinates y = U x, where the first `rank` basis vectors span the
-    preimage of the torsion, with the Smith diagonal as relations. tau keeps
-    it, so U tau U^-1 has a zero lower-left block, and its upper-left and
-    lower-right blocks act on the torsion and on the torsion-free quotient.
-    N is a polynomial in tau, so the blocks of U N U^-1 are the parts' N.
-    U^-1 is the one that Smith form carries, so no second form inverts U."""
-    dec = module.group.smith
-    return dec, dec.u @ module.tau @ dec.u_inv, dec.u @ module.norm @ dec.u_inv
-
-
 def _block(mat: IntMatrix, rows: range, cols: range) -> IntMatrix:
     n, e = mat.cols, mat.entries
     return IntMatrix._of(len(rows), len(cols), tuple(chain.from_iterable(
         e[i * n + cols.start:i * n + cols.stop] for i in rows)))
 
 
-def free_module(module: CpModule, conjugated=None) -> CpModule:
-    """The torsion-free quotient G / G_tor with the induced action.
-    conjugated is _smith_conjugate(module), passed by a caller that takes
-    both parts, so the conjugation is formed once."""
-    dec, tau, norm = conjugated or _smith_conjugate(module)
-    free = range(dec.rank, module.ambient_rank)
-    return CpModule._of(module.p, cokernel(IntMatrix.zeros(len(free), 0)),
-                        _block(tau, free, free), _block(norm, free, free))
-
-
-def tor_module(module: CpModule, conjugated=None) -> CpModule:
-    """The torsion subgroup with the restricted action, presented by the
-    Smith diagonal of the relations (see _smith_conjugate); conjugated as
-    for free_module."""
-    dec, tau, norm = conjugated or _smith_conjugate(module)
+def tor_and_free_parts(module: CpModule) -> tuple:
+    """(torsion subgroup with the restricted action, torsion-free quotient
+    G / G_tor with the induced action), cut from one conjugation. In the
+    coordinates y = U x of the Smith form that the group keeps, the first
+    `rank` basis vectors span the preimage of the torsion, which the Smith
+    diagonal presents. tau keeps it, so U tau U^-1 has a zero lower-left
+    block, and its upper-left and lower-right blocks act on the two parts.
+    N is a polynomial in tau, so the blocks of U N U^-1 are the parts' N.
+    U^-1 is the one that Smith form carries, so no second form inverts U."""
+    dec = module.group.smith
+    tau, norm = (dec.u @ x @ dec.u_inv for x in (module.tau, module.norm))
     tor, free = range(dec.rank), range(dec.rank, module.ambient_rank)
     if not _block(tau, free, tor).is_zero():
         raise CpModuleError("torsion subgroup is not tau-stable; validation broken")
     diag = dec.diagonal
     rel = IntMatrix._of(dec.rank, dec.rank, tuple(diag[i] if i == j else 0
                                                   for i in tor for j in tor))
-    return CpModule._of(module.p, cokernel(rel), _block(tau, tor, tor), _block(norm, tor, tor))
+    return (CpModule._of(module.p, cokernel(rel), _block(tau, tor, tor), _block(norm, tor, tor)),
+            CpModule._of(module.p, cokernel(IntMatrix.zeros(len(free), 0)),
+                         _block(tau, free, free), _block(norm, free, free)))
+
+
+def tor_module(module: CpModule) -> CpModule:
+    """The torsion part of tor_and_free_parts."""
+    return tor_and_free_parts(module)[0]
+
+
+def free_module(module: CpModule) -> CpModule:
+    """The free part of tor_and_free_parts."""
+    return tor_and_free_parts(module)[1]
 
 
 def star_dual(module: CpModule) -> CpModule:

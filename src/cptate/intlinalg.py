@@ -1,6 +1,6 @@
 """Exact integer linear algebra over Z.
 
-Smith normal form with its unimodular transforms, cokernel
+Smith normal form with its unimodular row transform, cokernel
 presentations of finitely generated abelian groups, and the kernel/image
 subquotient construction that the cohomology layer is built on.
 Membership, coordinates and quotients of a lattice are all read off its
@@ -266,23 +266,21 @@ def _identity_entries(n):
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """u @ source @ v == diag(d1, d2, ...) with d1 | d2 | ... >= 0.
+    """u @ source == diag(d1, d2, ...) @ w with d1 | d2 | ... >= 0.
 
-    u and v are unimodular; diagonal holds the min(rows, cols) entries d_i.
-    Only d_i, i < rank, are nonzero, so source's columns span the lattice
-    with basis d_i * u^-1 e_i: b lies in it iff (u b)_i is divisible by d_i
-    for i < rank and 0 beyond. u_inv is u^-1, formed alongside u, so
-    u @ u_inv == 1. snf(a, u=False) or snf(a, v=False) sets the transforms
-    it leaves out to None (u=False leaves out u and u_inv); none of this
-    module's other functions returns such a form.
+    u and w are unimodular, and w, the inverse of the column operations,
+    is not kept; diagonal holds the min(rows, cols) entries d_i. Only
+    d_i, i < rank, are nonzero, so source's columns span the lattice with
+    basis d_i * u^-1 e_i: b lies in it iff (u b)_i is divisible by d_i for
+    i < rank and 0 beyond. u_inv is u^-1, formed alongside u, so
+    u @ u_inv == 1.
     """
 
     u: IntMatrix
-    v: IntMatrix
-    diagonal: tuple
-    source: IntMatrix
-    rank: int
     u_inv: IntMatrix
+    diagonal: tuple
+    rank: int
+    source: IntMatrix
 
 
 def _find_pivot(s, t, m, n):
@@ -314,14 +312,14 @@ def _eliminate(s, n, w=None, z=None) -> int:
     least nonzero remainder into the pivot. Once column t is clear it is
     s[t][t] e_t, as earlier pivots cleared their rows, so
     col_k -= q col_t changes s only at [t][k]; it is mirrored as
-    row_k -= q row_t on w = v^T when w is given. Row operations act on
-    whole rows, so the columns of s after the n-th ride along: columns x
-    there come out as U x, U the product of the row operations. When z is
-    given, each row operation on s is undone as a column operation on
-    U^-1, kept as the rows of z = (U^-1)^T. The pivots depend on the first
-    n columns alone, so what rides along changes neither them nor the
-    diagonal. At the end the block is diagonal, nonnegative, with each
-    entry dividing the next.
+    row_k -= q row_t on w = V^T when w is given, V the product of the
+    column operations. Row operations act on whole rows, so the columns of
+    s after the n-th ride along: columns x there come out as U x, U the
+    product of the row operations. When z is given, each row operation on
+    s is undone as a column operation on U^-1, kept as the rows of
+    z = (U^-1)^T. The pivots depend on the first n columns alone, so what
+    rides along changes neither them nor the diagonal. At the end the
+    block is diagonal, nonnegative, with each entry dividing the next.
     """
     m = len(s)
     for t in range(min(m, n)):
@@ -382,34 +380,25 @@ def _eliminate(s, n, w=None, z=None) -> int:
     return min(m, n)
 
 
-def snf(a: IntMatrix, *, u: bool = True, v: bool = True) -> SmithDecomposition:
-    """Smith normal form with its transforms, by _eliminate.
+def snf(a: IntMatrix) -> SmithDecomposition:
+    """Smith normal form with its row transform, by _eliminate.
 
     u rides along as m more columns of s, so one list operation updates
-    both, and u_inv is formed with it as the rows of its transpose; v is
-    formed as w = v^T and transposed at the end. So u @ a @ v == s holds
-    at every step, and u @ u_inv == 1.
-
-    A transform that is not carried (u=False or v=False) is None in the
-    result and changes nothing else. Readers of v alone or of the
-    diagonal alone run _eliminate on row lists instead (_kernel_rows,
-    _invariants), so no form is built for them.
+    both, and u_inv is formed with it as the rows of its transpose, so
+    u @ u_inv == 1. Readers of the kernel or of the diagonal alone run
+    _eliminate on row lists instead (_kernel_rows, _invariants), so no
+    form is built for them.
     """
     m, n = a.rows, a.cols
-    s = a.to_rows()
-    if u:
-        for row, e in zip(s, _identity_rows(m)):
-            row.extend(e)
-    w = _identity_rows(n) if v else None
-    z = _identity_rows(m) if u else None
-    rank = _eliminate(s, n, w, z)
+    s = [r + e for r, e in zip(a.to_rows(), _identity_rows(m))]
+    z = _identity_rows(m)
+    rank = _eliminate(s, n, z=z)
     return SmithDecomposition(
-        u=IntMatrix._of(m, m, tuple(chain.from_iterable(r[n:] for r in s))) if u else None,
-        v=IntMatrix._of(n, n, tuple(chain.from_iterable(zip(*w)))) if v else None,
+        u=IntMatrix._of(m, m, tuple(chain.from_iterable(r[n:] for r in s))),
+        u_inv=IntMatrix._of(m, m, tuple(chain.from_iterable(zip(*z)))),
         diagonal=tuple(s[i][i] for i in range(min(m, n))),
-        source=a,
         rank=rank,
-        u_inv=IntMatrix._of(m, m, tuple(chain.from_iterable(zip(*z)))) if u else None,
+        source=a,
     )
 
 
@@ -421,7 +410,8 @@ def kernel(a: IntMatrix) -> IntMatrix:
 
 def _kernel_rows(s, n) -> list:
     """Basis of the kernel of the rows s on their first n columns, as
-    rows: the last n - rank rows of w = v^T. s is eliminated in place."""
+    rows: the last n - rank rows of w = V^T (see _eliminate). s is
+    eliminated in place."""
     w = _identity_rows(n)
     return w[_eliminate(s, n, w):]
 
@@ -445,7 +435,8 @@ class FgAbGroup:
     invariant_factors and free_rank are the normalized isomorphism
     invariants (unit factors dropped, each factor dividing the next);
     equality compares those, not the presentation. smith is the relations'
-    Smith form they were read off, kept so no reader takes a second one.
+    Smith form they were read off, with u and u^-1, kept so no reader
+    takes a second one.
     """
 
     invariant_factors: tuple
@@ -558,11 +549,11 @@ def _subquotient_relations(group: FgAbGroup, ker_of: IntMatrix, im_ofs) -> list:
     numerator is the preimage lattice K = {x : ker_of x in L}, the kernel
     rows of [ker_of | relations] cut to their first m coordinates; it is
     brought to Smith form once, and serves every denominator. With
-    u @ K_gens @ v == diag(d), K has the basis d_i * u^-1 e_i (i < rank),
-    so a denominator generator x (a column of im_of or of L) has the
-    coordinates (u x)_i / d_i in it. Those generators ride through the
-    elimination of K_gens as extra columns, so u x comes out of it and u
-    is never formed; each result's rows hold the coordinates of the
+    u @ K_gens == diag(d) @ w, w unimodular, K has the basis d_i * u^-1 e_i
+    (i < rank), so a denominator generator x (a column of im_of or of L)
+    has the coordinates (u x)_i / d_i in it. Those generators ride through
+    the elimination of K_gens as extra columns, so u x comes out of it and
+    u is never formed; each result's rows hold the coordinates of the
     columns of [im_of | L], and its cokernel is K modulo the denominator.
     """
     m = group.ambient_rank

@@ -16,14 +16,12 @@ from dataclasses import dataclass, field
 
 from .cpmod import (
     CpModule,
-    _smith_conjugate,
     augmentation_module,
     direct_sum,
-    free_module,
     h0_and_fixed_points,
     new_cp_module,
     tate_dim,
-    tor_module,
+    tor_and_free_parts,
     trivial_free_module,
     trivial_module,
 )
@@ -52,9 +50,7 @@ class ManifoldExample:
         # h1 is valid by construction, so its torsion and free parts are
         # cut from it unchecked. Only the Tate groups the checks read are
         # formed
-        conjugated = _smith_conjugate(self.h1)
-        tor = tor_module(self.h1, conjugated)
-        free = free_module(self.h1, conjugated)
+        tor, free = tor_and_free_parts(self.h1)
         dim_h0_tor, tor_fixed = h0_and_fixed_points(tor)
         object.__setattr__(self, "dim_h0_h1", tate_dim(self.h1, 0))
         object.__setattr__(self, "dim_h0_tor", dim_h0_tor)

@@ -515,8 +515,6 @@ class ClassData:
     invariants: tuple          # ordinary (wide) class group
     class_number: int
     narrow_invariants: tuple | None   # d > 0 only
-    narrow_class_number: int | None
-    negative_pell_class_trivial: bool | None  # d > 0: is the (-1,*,*) class principal
     dim_h0_cl: int             # dim H^0(C_2, Cl)
     dim_h1_cl: int             # dim H^1(C_2, Cl)
     fixed_free_rank: int       # Cl^(C_2), the fixed classes
@@ -545,12 +543,11 @@ def _unit_h1_dim(real: bool) -> int:
     return tate_dim(unit_module(2 if real else -1), 1)
 
 
-def _class_record(d, D, inv, h, narrow_inv, narrow_h, neg_trivial) -> ClassData:
+def _class_record(d, D, inv, h, narrow_inv) -> ClassData:
     """The field's record; its cohomology is looked up by the isomorphism
     type of Cl's 2-primary part, the factors 2^v_2(n) of its even n."""
     two = tuple(n & -n for n in inv if n % 2 == 0)
-    return ClassData(d, D, inv, h, narrow_inv, narrow_h, neg_trivial,
-                     *_class_cohomology(two), _unit_h1_dim(d > 0))
+    return ClassData(d, D, inv, h, narrow_inv, *_class_cohomology(two), _unit_h1_dim(d > 0))
 
 
 @lru_cache(maxsize=1024)
@@ -626,11 +623,11 @@ def _class_data(d: int) -> ClassData:
     coords, rows = _relation_lattice(classes, op, inv, ident, width)
     if d < 0:
         narrow, _ = _invariants(rows, len(rows))
-        return _class_record(d, D, narrow, prod(narrow), None, None, None)
+        return _class_record(d, D, narrow, prod(narrow), None)
     column = _decode(coords[classes[-1]], width, len(rows))
     wide, _ = _invariants([r + [c] for r, c in zip(rows, column)], len(rows) + 1)
     narrow, _ = _invariants(rows, len(rows))
-    return _class_record(d, D, wide, prod(wide), narrow, prod(narrow), classes[-1] == ident)
+    return _class_record(d, D, wide, prod(wide), narrow)
 
 
 def class_number(d: int) -> int:

@@ -200,13 +200,15 @@ def test_field_report_factors_d_a_bounded_number_of_times(monkeypatch, d):
 
 @pytest.mark.parametrize("make, args", CASES, ids=CASE_IDS)
 def test_example_checks_compute_cohomology_once(monkeypatch, make, args):
-    counts = _count_calls(monkeypatch, mfld,
-                          ("tate_dim", "h0_and_fixed_points", "tor_module", "free_module"))
+    counts = _count_calls(monkeypatch, mfld, ("tate_dim", "h0_and_fixed_points",
+                                              "tor_and_free_parts"))
     mfld.run_all_checks(make(*args))
-    # only the groups the checks read: H^0 of h1 and H^1 of its free part
-    # alone, and H^0 and the fixed points of its torsion part together
-    assert counts == {"tor_module": 1, "free_module": 1, "tate_dim": 2,
-                      "h0_and_fixed_points": 1}
+    # only the groups the checks read: both parts from one conjugation,
+    # H^0 of h1 and H^1 of its free part alone, and H^0 and the fixed
+    # points of its torsion part together
+    assert counts == {"tor_and_free_parts": 1, "tate_dim": 2, "h0_and_fixed_points": 1}
+    # mfld cuts the parts through tor_and_free_parts alone
+    assert not hasattr(mfld, "tor_module") and not hasattr(mfld, "free_module")
 
 
 @pytest.mark.parametrize("make, args", CASES, ids=CASE_IDS)
@@ -308,9 +310,9 @@ def test_module_operations_reuse_the_groups_smith_form(monkeypatch):
     assert len(mods) >= 50
     seen = []
     for module in (intlinalg, cpmod):
-        def recorded(a, _orig=module.snf, **transforms):
+        def recorded(a, _orig=module.snf):
             seen.append(a)
-            return _orig(a, **transforms)
+            return _orig(a)
         monkeypatch.setattr(module, "snf", recorded)
     for m in mods:
         seen.clear()

@@ -1,10 +1,11 @@
-"""Every module-level import in the package is used by its module, every
-module-level private function or class is used by the package, and every
-public method of a package class is read somewhere.
+"""Every import in the package is used by its module, every module-level
+private function or class is used by the package, and every public method
+of a package class is read somewhere.
 
 Stdlib-only stand-ins for a linter's unused-import and dead-code rules: a
-name bound by a top-level import must appear as a name somewhere in the
-same module, or be re-exported through __all__; a top-level `_name` def or
+name bound by an import, at the top of a module or inside a function, must
+be read somewhere in the same module, or be re-exported through __all__;
+a name that is only assigned over is not read; a top-level `_name` def or
 class must be referenced somewhere in the package outside its own body; a
 public method or property of a class must be named by an attribute access
 (or a string constant, as getattr takes) in the package, its tests or its
@@ -23,8 +24,9 @@ SRC = ROOT / "src" / "cptate"
 def unused_imports(source: str) -> list:
     tree = ast.parse(source)
     bound = {}
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    for node in tree.body:
+    used = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -41,8 +43,9 @@ def test_detector_flags_only_unused_names():
               "import os, sys as system\n"
               "from json import dumps, loads\n"
               "__all__ = ['loads']\n"
-              "print(system.argv, dumps)\n")
-    assert unused_imports(source) == ["line 2: os"]
+              "print(system.argv, dumps)\n"
+              "def f():\n    import csv, gzip\n    csv = gzip.open\n")
+    assert unused_imports(source) == ["line 2: os", "line 7: csv"]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)

@@ -99,7 +99,7 @@ def _check_class_numbers(d):
     if d < 0:
         assert class_number(d) == len(oracle_forms_negative(D)), f"d = {d}"
     else:
-        assert _class_data(d).narrow_class_number == len(oracle_cycles(D)), f"d = {d}"
+        assert math.prod(_class_data(d).narrow_invariants) == len(oracle_cycles(D)), f"d = {d}"
 
 
 def test_class_numbers_match_the_oracle_up_to_5000():
