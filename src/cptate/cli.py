@@ -235,6 +235,10 @@ def _load_module_spec(path):
             data = json.load(fh)
         except json.JSONDecodeError as err:
             raise SpecFileError(f"{path}:{err.lineno}:{err.colno}: {err.msg}")
+        except UnicodeDecodeError as err:
+            raise SpecFileError(f"{path}: not UTF-8 text ({err.reason})")
+        except RecursionError:
+            raise SpecFileError(f"{path}: JSON nested too deeply")
     if not isinstance(data, dict):
         raise SpecFileError("top level must be a JSON object")
     if "p" not in data:
@@ -335,6 +339,9 @@ def cmd_verify_cubic(args) -> int:
                 break
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as err:
+        print(f"error: {args.csv}: not UTF-8 text ({err.reason})", file=sys.stderr)
         return 2
     except numfield.MalformedRecord as err:
         print(f"error: {args.csv}: {err}", file=sys.stderr)

@@ -12,7 +12,8 @@ keeps as its `norm`, computed once when the module is built:
 Both are elementary abelian p-groups, and for finite G they have equal
 rank (the Herbrand quotient is trivial). S and N are polynomials in tau
 that descend to G, and S N = N S = tau^p - 1 vanishes there, so the Tate
-layer forms its subquotients with no check of its own.
+layer forms its subquotients with no check of its own. One entry each:
+tate_dim or tate, h0_and_fixed_points, tor_and_free_parts.
 """
 
 from __future__ import annotations
@@ -55,10 +56,6 @@ class TauOrderNotDividingP(CpModuleError):
 
 
 class PrimeMismatch(CpModuleError):
-    pass
-
-
-class ModuleNotFinite(CpModuleError):
     pass
 
 
@@ -259,22 +256,6 @@ def h0_and_fixed_points(module: CpModule) -> tuple:
     return _elementary_dim(module, 0, h0), _cokernel_of_rows(*fixed)
 
 
-def herbrand_check(module: CpModule) -> bool:
-    """dim H^0 == dim H^1; valid only for finite modules."""
-    if not module.group.is_finite:
-        raise ModuleNotFinite(f"{module.group} has free rank {module.group.free_rank}")
-    t = tate(module)
-    return t.dim_h0 == t.dim_h1
-
-
-def fixed_points(module: CpModule) -> FgAbGroup:
-    """The subgroup of elements fixed by tau, as an abstract group."""
-    m = module.ambient_rank
-    s_op = module.tau - IntMatrix.identity(m)
-    (fixed,) = _subquotient_relations(module.group, s_op, (IntMatrix.zeros(m, m),))
-    return _cokernel_of_rows(*fixed)
-
-
 @dataclass(frozen=True)
 class TypeMultiplicities:
     """Multiplicities (f, t, a) of the indecomposable torsion-free types:
@@ -299,11 +280,6 @@ def classify_free(module: CpModule) -> TypeMultiplicities:
             f"rank {rank} with cohomology dims ({t}, {a}) fits no type decomposition"
         )
     return TypeMultiplicities(f=rem // module.p, t=t, a=a)
-
-
-def sharp_dual(module: CpModule) -> CpModule:
-    """Same group, generator acting by the inverse automorphism."""
-    return CpModule(module.p, module.group, module.tau.power(module.p - 1))
 
 
 def _block(mat: IntMatrix, rows: range, cols: range) -> IntMatrix:
@@ -332,29 +308,6 @@ def tor_and_free_parts(module: CpModule) -> tuple:
     return (CpModule._of(module.p, cokernel(rel), _block(tau, tor, tor), _block(norm, tor, tor)),
             CpModule._of(module.p, cokernel(IntMatrix.zeros(len(free), 0)),
                          _block(tau, free, free), _block(norm, free, free)))
-
-
-def tor_module(module: CpModule) -> CpModule:
-    """The torsion part of tor_and_free_parts."""
-    return tor_and_free_parts(module)[0]
-
-
-def free_module(module: CpModule) -> CpModule:
-    """The free part of tor_and_free_parts."""
-    return tor_and_free_parts(module)[1]
-
-
-def star_dual(module: CpModule) -> CpModule:
-    """Hom(V, Z) with the contragredient action, for torsion-free V.
-
-    On a clean basis the action matrix is exactly invertible over Z, and
-    the dual action is the transpose of its inverse.
-    """
-    if module.group.invariant_factors:
-        raise ModuleNotTorsionFree(f"{module.group} has torsion")
-    clean = free_module(module).tau
-    dual_tau = clean.power(module.p - 1).transpose()
-    return new_cp_module(module.p, IntMatrix.zeros(clean.rows, 0), dual_tau)
 
 
 def direct_sum(a: CpModule, b: CpModule) -> CpModule:

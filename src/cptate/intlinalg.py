@@ -1,10 +1,10 @@
 """Exact integer linear algebra over Z.
 
 Smith normal form with its unimodular row transform, cokernel
-presentations of finitely generated abelian groups, and the kernel/image
-subquotient construction that the cohomology layer is built on.
-Membership, coordinates and quotients of a lattice are all read off its
-one Smith form, which a group keeps from its cokernel.
+presentations of finitely generated abelian groups, and the relations
+of the Ker/Im subquotients of the cohomology layer. Membership,
+coordinates and quotients of a lattice are all read off its one Smith
+form, which a group keeps from its cokernel.
 
 Everything uses plain Python ints, so there is no overflow anywhere.
 All public values are immutable.
@@ -35,10 +35,6 @@ class DimensionMismatch(ValueError):
     """Operands have incompatible shapes."""
 
 
-class MatrixDoesNotDescend(ValueError):
-    """An endomorphism of Z^m does not preserve the relation lattice."""
-
-
 class CompositeNotZero(ValueError):
     """im_of does not land inside ker_of on the presented group."""
 
@@ -48,9 +44,8 @@ class IntMatrix:
     """Immutable integer matrix, entries stored row-major.
 
     The public constructors check the shape and that every entry is an
-    int. Results this module builds from matrices that already passed
-    those checks (sums, products, transposes, Smith transforms) go
-    through _of, which skips them.
+    int. What this module builds from checked matrices (sums, products,
+    Smith transforms) goes through _of, which skips those checks.
     """
 
     rows: int
@@ -220,24 +215,6 @@ class IntMatrix:
 
     __rmul__ = __mul__
 
-    def power(self, k):
-        if self.rows != self.cols:
-            raise DimensionMismatch("power of a non-square matrix")
-        if k < 0:
-            raise ValueError("negative matrix power")
-        result = IntMatrix.identity(self.rows)
-        base = self
-        while k:
-            if k & 1:
-                result = result @ base
-            base = base @ base
-            k >>= 1
-        return result
-
-    def transpose(self):
-        return IntMatrix._of(self.cols, self.rows, tuple(chain.from_iterable(
-            self.entries[j::self.cols] for j in range(self.cols))))
-
     def hstack(self, other):
         if self.rows != other.rows:
             raise DimensionMismatch("hstack needs equal row counts")
@@ -385,7 +362,7 @@ def snf(a: IntMatrix) -> SmithDecomposition:
 
     u rides along as m more columns of s, so one list operation updates
     both, and u_inv is formed with it as the rows of its transpose, so
-    u @ u_inv == 1. Readers of the kernel or of the diagonal alone run
+    u @ u_inv == 1. Readers of a Ker basis or of the diagonal alone run
     _eliminate on row lists instead (_kernel_rows, _invariants), so no
     form is built for them.
     """
@@ -402,14 +379,8 @@ def snf(a: IntMatrix) -> SmithDecomposition:
     )
 
 
-def kernel(a: IntMatrix) -> IntMatrix:
-    """Basis of the integer kernel {x : a @ x == 0}, as matrix columns."""
-    k = _kernel_rows(a.to_rows(), a.cols)
-    return IntMatrix._of(a.cols, len(k), tuple(chain.from_iterable(zip(*k))))
-
-
 def _kernel_rows(s, n) -> list:
-    """Basis of the kernel of the rows s on their first n columns, as
+    """Basis of Ker of the rows s on their first n columns, as
     rows: the last n - rank rows of w = V^T (see _eliminate). s is
     eliminated in place."""
     w = _identity_rows(n)
@@ -514,39 +485,11 @@ def from_invariants(factors, free_rank=0) -> FgAbGroup:
     return cokernel(rel)
 
 
-def induced_subquotient(group: FgAbGroup, ker_of: IntMatrix, im_of: IntMatrix) -> FgAbGroup:
-    """Ker(ker_of) / Im(im_of) inside group = Z^m / L.
-
-    Both matrices are endomorphisms of Z^m that must descend to group,
-    and im_of must land inside the kernel of ker_of there; all shapes,
-    then both descents, then the composite are checked before the result
-    is formed. A valid module's S and N pass these checks by
-    construction, so its Tate groups go to _subquotient_relations
-    directly.
-    """
-    m = group.ambient_rank
-    named = (("ker_of", ker_of), ("im_of", im_of))
-    for name, mat in named:
-        if mat.rows != m or mat.cols != m:
-            raise DimensionMismatch(f"{name} must be {m}x{m}, got {mat.rows}x{mat.cols}")
-    rel_dec = group.smith
-    for name, mat in named:
-        j = _first_outside(rel_dec, rel_dec.u @ (mat @ group.relations))
-        if j is not None:
-            raise MatrixDoesNotDescend(
-                f"{name} maps relation column {j} outside the relation lattice")
-    j = _first_outside(rel_dec, rel_dec.u @ (ker_of @ im_of))
-    if j is not None:
-        raise CompositeNotZero(f"ker_of @ im_of is nonzero on the group (generator {j})")
-    (relations,) = _subquotient_relations(group, ker_of, (im_of,))
-    return _cokernel_of_rows(*relations)
-
-
 def _subquotient_relations(group: FgAbGroup, ker_of: IntMatrix, im_ofs) -> list:
     """Relations presenting Ker(ker_of) / Im(im_of) inside group, one
-    (rows, cols) pair per im_of in im_ofs, for operators that pass the
-    checks of induced_subquotient, as a valid module's S and N do. The
-    numerator is the preimage lattice K = {x : ker_of x in L}, the kernel
+    (rows, cols) pair per im_of in im_ofs, for operators that descend with
+    ker_of @ im_of = 0 on group, as a valid module's S and N do. The
+    numerator is the preimage lattice K = {x : ker_of x in L}, the Ker
     rows of [ker_of | relations] cut to their first m coordinates; it is
     brought to Smith form once, and serves every denominator. With
     u @ K_gens == diag(d) @ w, w unimodular, K has the basis d_i * u^-1 e_i
@@ -565,7 +508,7 @@ def _subquotient_relations(group: FgAbGroup, ker_of: IntMatrix, im_ofs) -> list:
     rank = _eliminate(s, n)
     y = [row[n:] for row in s]
     if any(map(any, y[rank:])) or any(any(map(s[i][i].__rmod__, y[i])) for i in range(rank)):
-        # cannot happen for operators that pass the checks
+        # cannot happen for operators that descend with composite zero
         raise CompositeNotZero("denominator generator escapes the numerator lattice")
     coords = [[x // s[i][i] for x in y[i]] for i in range(rank)]
     out = []

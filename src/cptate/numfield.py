@@ -459,9 +459,9 @@ def _relation_lattice(elements, op, inv, identity, width):
     positive multiple of g's order n over the span. The power g^n reaches
     the span at the latest, so i <= n and i - e <= 2i - 1 < 2n: the first
     hit gives i - e = n exactly, and the relation n e_g - coords(g^n).
-    Coordinates may be negative. The relations lie in the kernel of the
+    Coordinates may be negative. The relations lie in Ker of the
     coordinate map and are triangular with diagonal n_j, whose product is
-    the group's order, so they generate that kernel. Each inverse pair
+    the group's order, so they generate Ker. Each inverse pair
     costs one composition, and none composes with the identity.
 
     Coordinates (c_0, ..., c_(k-1)) are stored as one int, the code

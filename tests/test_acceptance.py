@@ -25,14 +25,12 @@ from cptate import (
     cubic_rank_check,
     example_hempel,
     example_lens,
-    free_module,
     free_regular_module,
     fundamental_unit,
-    herbrand_check,
     read_cubic_csv,
     splitting_density,
     tate,
-    tor_module,
+    tor_and_free_parts,
     trivial_free_module,
 )
 from cptate.mfld import expected_outcomes
@@ -68,7 +66,6 @@ def test_criterion_2_herbrand_equality():
     catalog = finite_catalog()
     assert len(catalog) >= 100
     for module in catalog:
-        assert herbrand_check(module)
         co = tate(module)
         assert co.dim_h0 == co.dim_h1
     assert time.perf_counter() - t0 < 10.0
@@ -162,8 +159,9 @@ def test_criterion_7_lens_sharpness():
     t0 = time.perf_counter()
     for p in PRIMES:
         e = example_lens(p)
-        assert tate(tor_module(e.h1)).dim_h0 == 1, f"p={p}"
-        assert tate(free_module(e.h1)).dim_h1 == 1, f"p={p}"
+        tor, free = tor_and_free_parts(e.h1)
+        assert tate(tor).dim_h0 == 1, f"p={p}"
+        assert tate(free).dim_h1 == 1, f"p={p}"
         v = check_upperT(e)
         assert v.hypotheses_met and v.passed
         assert v.lhs == v.rhs == 3, f"p={p}: bound not sharp"
@@ -177,8 +175,9 @@ def test_criterion_8_hempel_family():
         for n in range(1, 9):
             e = example_hempel(p, n)
             assert e.s == n
-            assert tate(tor_module(e.h1)).dim_h0 == 1, f"p={p} n={n}"
-            assert tate(free_module(e.h1)).dim_h1 == 0, f"p={p} n={n}"
+            tor, free = tor_and_free_parts(e.h1)
+            assert tate(tor).dim_h0 == 1, f"p={p} n={n}"
+            assert tate(free).dim_h1 == 0, f"p={p} n={n}"
             lo = check_lower1(e)
             assert not lo.hypotheses_met
             if n == 1:

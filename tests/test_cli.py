@@ -294,6 +294,23 @@ def test_cohomology_missing_file(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command, name, payload", [
+    ("cohomology", "bad.json", b'{"p": 5, "tau": [[1]]}\xff'),
+    ("cohomology", "deep.json", b"[" * 10**5 + b"]" * 10**5),
+    ("verify-cubic", "bad.csv", b"conductor,class_invariants\n7,\xff\n"),
+], ids=("spec-not-utf8", "spec-nested", "csv-not-utf8"))
+def test_unreadable_input_is_one_error_line(capsys, tmp_path, command, name, payload):
+    # a byte that is not UTF-8, or JSON nested past the parser's depth,
+    # is malformed input: exit 2 and one line naming the file
+    path = tmp_path / name
+    path.write_bytes(payload)
+    option = "--spec" if command == "cohomology" else "--csv"
+    code, _, err = run(capsys, [command, option, str(path)])
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
+
+
 # -- verify-cubic ----------------------------------------------------------------------
 
 

@@ -207,8 +207,9 @@ def test_example_checks_compute_cohomology_once(monkeypatch, make, args):
     # H^0 of h1 and H^1 of its free part alone, and H^0 and the fixed
     # points of its torsion part together
     assert counts == {"tor_and_free_parts": 1, "tate_dim": 2, "h0_and_fixed_points": 1}
-    # mfld cuts the parts through tor_and_free_parts alone
-    assert not hasattr(mfld, "tor_module") and not hasattr(mfld, "free_module")
+    # tor_and_free_parts is the one entry to the parts: no wrapper for
+    # either part alone is left in cpmod for mfld to call
+    assert not hasattr(cpmod, "tor_module") and not hasattr(cpmod, "free_module")
 
 
 @pytest.mark.parametrize("make, args", CASES, ids=CASE_IDS)
@@ -301,8 +302,9 @@ def test_example_matrix_validation_count(monkeypatch):
 
 
 def test_module_operations_reuse_the_groups_smith_form(monkeypatch):
-    # tor_module presents the torsion by the Smith diagonal, so a module whose
-    # relations are already diagonal would rightly take that form again
+    # tor_and_free_parts presents the torsion by the Smith diagonal, so a
+    # module whose relations are already diagonal would rightly take that
+    # form again
     def in_smith_form(r):
         return r == IntMatrix.diagonal(intlinalg.snf(r).diagonal, rows=r.rows, cols=r.cols)
 
@@ -316,8 +318,7 @@ def test_module_operations_reuse_the_groups_smith_form(monkeypatch):
         monkeypatch.setattr(module, "snf", recorded)
     for m in mods:
         seen.clear()
-        for op in (cpmod.tate, cpmod.fixed_points, cpmod.h0_and_fixed_points,
-                   cpmod.tor_module, cpmod.free_module):
+        for op in (cpmod.tate, cpmod.h0_and_fixed_points, cpmod.tor_and_free_parts):
             op(m)
         assert seen and m.group.relations not in seen
 

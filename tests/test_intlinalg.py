@@ -10,11 +10,8 @@ from cptate import (
     DimensionMismatch,
     FgAbGroup,
     IntMatrix,
-    MatrixDoesNotDescend,
     cokernel,
     from_invariants,
-    induced_subquotient,
-    kernel,
     snf,
 )
 from cptate import intlinalg, mfld
@@ -39,7 +36,6 @@ def test_matrix_construction_and_access():
     assert a.at(1, 2) == 6
     assert a.row(0) == (1, 2, 3)
     assert a.entries[2::a.cols] == (3, 6)
-    assert a.transpose().to_rows() == [[1, 4], [2, 5], [3, 6]]
     b = IntMatrix.from_columns([[1, 4], [2, 5], [3, 6]], 2)
     assert a == b
 
@@ -51,8 +47,6 @@ def test_matrix_arithmetic():
     assert (a + b - b) == a
     assert (-a).at(0, 0) == -1
     assert (2 * a).at(1, 1) == 8
-    assert a.power(0) == IntMatrix.identity(2)
-    assert a.power(3) == a @ a @ a
     assert a.hstack(b).cols == 4
 
 
@@ -124,21 +118,24 @@ def test_trusted_results_equal_checked_matrices():
     for _ in range(40):
         m, n, k = rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 4)
         a, b = _random_matrix(rng, m, n), _random_matrix(rng, m, n)
-        c, sq = _random_matrix(rng, n, k), _random_matrix(rng, n, n)
+        c = _random_matrix(rng, n, k)
         product = a @ c
         assert product.to_rows() == [[sum(a.at(i, t) * c.at(t, j) for t in range(n))
                                       for j in range(k)] for i in range(m)]
         assert (a + b).to_rows() == [[x + y for x, y in zip(r, q)]
                                      for r, q in zip(a.to_rows(), b.to_rows())]
-        assert a.transpose().to_rows() == [list(a.entries[j::n]) for j in range(n)]
         dec = snf(a)
-        results = (product, a + b, a - b, -a, 3 * a, a * -2, a.transpose(), a.hstack(b),
-                   sq.power(3), IntMatrix.identity(n), IntMatrix.zeros(m, k), dec.u, dec.u_inv)
+        results = (product, a + b, a - b, -a, 3 * a, a * -2, a.hstack(b),
+                   IntMatrix.identity(n), IntMatrix.zeros(m, k), dec.u, dec.u_inv)
         for got in results:
             _assert_same_as_checked(got)
 
 
 # -- products -----------------------------------------------------------------
+
+
+def _transpose(a):
+    return IntMatrix.from_columns(a.to_rows(), a.cols)
 
 
 def _assert_product(a, b):
@@ -206,7 +203,7 @@ def test_products_at_the_edge_of_the_digit_bound(n, a_max, b_max):
     assert a.rows * b.cols > intlinalg._DOT_ENTRIES
     _assert_product(a, b)
     assert (a @ b).at(0, 0) == n * a_max * b_max
-    _assert_product(b.transpose(), a.transpose())
+    _assert_product(_transpose(b), _transpose(a))
 
 
 def test_products_with_long_entries():
@@ -355,9 +352,10 @@ def test_snf_of_long_entries():
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 23])
 def test_snf_of_manifold_presentations_in_random_bases(p):
-    # the matrices tate and fixed_points hand to snf: the relations, S and
-    # N, and [S | relations], on lens and hempel presentations moved by
-    # random unimodular bases; the diagonals do not depend on the basis
+    # the matrices tate and h0_and_fixed_points hand to snf: the
+    # relations, S and N, and [S | relations], on lens and hempel
+    # presentations moved by random unimodular bases; the diagonals do
+    # not depend on the basis
     rng = random.Random(p)
     examples = [mfld.example_lens(p)] + [mfld.example_hempel(p, n) for n in (1, 4, 9, 16)]
     for e in examples:
@@ -493,16 +491,21 @@ def test_membership_agrees_with_the_test_oracle():
     assert outcomes.count(None) > 400 and outcomes.count(0) > 400
 
 
+def _kernel(a):
+    """The rows _kernel_rows gives for a, as the columns of a matrix."""
+    return IntMatrix.from_columns(intlinalg._kernel_rows(a.to_rows(), a.cols), a.cols)
+
+
 @settings(max_examples=60, deadline=None)
 @given(matrices)
 def test_kernel_columns_annihilated(a):
-    k = kernel(a)
+    k = _kernel(a)
     assert (a @ k).is_zero()
     # completeness: rank(a) + kernel dimension = number of columns
     assert snf(k).rank == a.cols - snf(a).rank
     # saturation: the columns span the whole integer kernel, not a
     # sublattice of finite index in it
-    assert cokernel(kernel(a)).invariant_factors == ()
+    assert cokernel(k).invariant_factors == ()
 
 
 # -- finitely generated abelian groups ---------------------------------------
@@ -549,26 +552,33 @@ def test_formal_order_of_infinite_group():
     assert from_invariants((4,)).order == 4
 
 
-# -- induced subquotients ----------------------------------------------------
+# -- subquotients -------------------------------------------------------------
+
+
+def _subquotient(group, ker_of, im_of):
+    """Ker(ker_of) / Im(im_of) in group, by the engine the Tate layer runs."""
+    ((rows, cols),) = intlinalg._subquotient_relations(group, ker_of, (im_of,))
+    return cokernel(IntMatrix.from_rows(rows, cols=cols))
 
 
 def test_subquotient_kernel_of_doubling_mod_four():
     g = from_invariants((4, 4))
     two = 2 * IntMatrix.identity(2)
-    h = induced_subquotient(g, two, IntMatrix.zeros(2, 2))
+    h = _subquotient(g, two, IntMatrix.zeros(2, 2))
     assert h.invariant_factors == (2, 2) and h.free_rank == 0
 
 
 def test_subquotient_whole_group_and_trivial():
     g = from_invariants((4, 4))
     zero = IntMatrix.zeros(2, 2)
-    whole = induced_subquotient(g, zero, zero)
+    whole = _subquotient(g, zero, zero)
     assert whole == g
     ident = IntMatrix.identity(2)
-    with pytest.raises(CompositeNotZero):
-        induced_subquotient(g, ident, ident)
+    # the identity's image escapes its kernel, 0
+    with pytest.raises(CompositeNotZero, match="escapes the numerator lattice"):
+        _subquotient(g, ident, ident)
     # ker(identity) mod image zero is the trivial group
-    nothing = induced_subquotient(g, ident, zero)
+    nothing = _subquotient(g, ident, zero)
     assert nothing.is_trivial
 
 
@@ -577,16 +587,9 @@ def test_subquotient_free_case():
     # x = y line inside Z^2, quotient by the image of (x, y) -> (x+y, x+y)
     ker_of = IntMatrix.from_rows([[1, -1], [0, 0]])
     im_of = IntMatrix.from_rows([[1, 1], [1, 1]])
-    h = induced_subquotient(g, ker_of, im_of)
+    h = _subquotient(g, ker_of, im_of)
     assert h.is_trivial
 
     # same kernel, image doubled: quotient is Z/2
-    h2 = induced_subquotient(g, ker_of, 2 * im_of)
+    h2 = _subquotient(g, ker_of, 2 * im_of)
     assert h2.invariant_factors == (2,) and h2.free_rank == 0
-
-
-def test_subquotient_validates_descent():
-    g = from_invariants((2,), free_rank=1)  # ambient rank 2, relation (2, 0)
-    swap = IntMatrix.from_rows([[0, 1], [1, 0]])
-    with pytest.raises(MatrixDoesNotDescend):
-        induced_subquotient(g, swap, IntMatrix.zeros(2, 2))

@@ -9,13 +9,12 @@ from cptate import (
     check_upperT,
     example_hempel,
     example_lens,
-    fixed_points,
-    free_module,
     from_invariants,
+    h0_and_fixed_points,
     nonsplit_extension,
     run_all_checks,
     tate,
-    tor_module,
+    tor_and_free_parts,
     trivial_module,
 )
 from cptate.mfld import CHECKS, expected_outcomes, verdict_to_dict
@@ -42,7 +41,7 @@ def test_hempel_needs_at_least_one_circle():
 @pytest.mark.parametrize("p", PRIMES)
 def test_nonsplit_extension_is_strictly_smaller_than_its_pieces(p):
     m = nonsplit_extension(p)
-    t, f = tor_module(m), free_module(m)
+    t, f = tor_and_free_parts(m)
     assert t.group == from_invariants((p,))
     assert f.group.free_rank == 1 and f.group.invariant_factors == ()
     # torsion and free parts carry trivial actions
@@ -59,10 +58,11 @@ def test_lens_dims(p):
     e = example_lens(p)
     assert e.s == 3 and e.splits and e.quotient_free_rank == 0
     assert (tate(e.h1).dim_h0, tate(e.h1).dim_h1) == (1, 2)
-    assert (tate(tor_module(e.h1)).dim_h0, tate(tor_module(e.h1)).dim_h1) == (1, 1)
-    assert (tate(free_module(e.h1)).dim_h0, tate(free_module(e.h1)).dim_h1) == (0, 1)
-    assert tor_module(e.h1).group == from_invariants((p,))
-    assert free_module(e.h1).group.free_rank == p - 1
+    tor, free = tor_and_free_parts(e.h1)
+    assert (tate(tor).dim_h0, tate(tor).dim_h1) == (1, 1)
+    assert (tate(free).dim_h0, tate(free).dim_h1) == (0, 1)
+    assert tor.group == from_invariants((p,))
+    assert free.group.free_rank == p - 1
 
 
 @pytest.mark.parametrize("p", (2, 3, 5))
@@ -71,8 +71,9 @@ def test_hempel_dims(p, n):
     e = example_hempel(p, n)
     assert e.s == n and not e.splits and e.quotient_free_rank == n
     assert (tate(e.h1).dim_h0, tate(e.h1).dim_h1) == (n, 0)
-    assert tor_module(e.h1).group == from_invariants((p,))
-    assert free_module(e.h1).group.free_rank == n
+    tor, free = tor_and_free_parts(e.h1)
+    assert tor.group == from_invariants((p,))
+    assert free.group.free_rank == n
 
 
 # -- individual checkers on the lens family -------------------------------------
@@ -210,7 +211,7 @@ def test_fixed_point_count_with_nontrivial_action(p):
     # (Z/p)^p permuted cyclically has fixed classes Z/p: rank 1, so the
     # count matches at s = 2
     h1 = perm_block(p, p)
-    assert fixed_points(h1).invariant_factors == (p,)
+    assert h0_and_fixed_points(h1)[1].invariant_factors == (p,)
     e = ManifoldExample(name="synthetic", p=p, h1=h1, s=2,
                         quotient_free_rank=0, quotient_tor_p_trivial=True,
                         splits=True)

@@ -21,9 +21,9 @@ from cptate import (
     cokernel,
     cubic_rank_check,
     field_report,
-    fixed_points,
     fundamental_unit,
     gauss_identity,
+    h0_and_fixed_points,
     kronecker,
     narrow_class_invariants,
     nine_fields_check,
@@ -260,7 +260,7 @@ def test_class_group_module_is_inversion():
     # inversion fixes 2-torsion pointwise
     assert co.dim_h0 == 2
     assert co.dim_h1 == 2
-    assert fixed_points(cl).invariant_factors == (2, 2)
+    assert h0_and_fixed_points(cl)[1].invariant_factors == (2, 2)
 
 
 def test_h0_of_class_group_is_two_torsion():
