@@ -99,7 +99,7 @@ def _witness(d: int, name: str) -> str:
     if point is None:
         return ""
     x, z = point
-    return (f"  unit norm {numfield.fundamental_unit(d).norm:+d}, "
+    return (f"  unit norm {numfield.field_report(d).class_data.unit_norm:+d}, "
             f"yet {x}^2 - {d}*1^2 = -{z}^2")
 
 
@@ -224,8 +224,9 @@ def _spec_int(value, where):
     return value
 
 
-def _load_module_spec(path):
-    """Read {"p": int, "tau": [[row], ...], "relations": [[col], ...]}.
+def _load_module(path):
+    """The module of the file {"p": int, "tau": [[row], ...], "relations":
+    [[col], ...]}, validated. Every SpecFileError names the file.
 
     tau is row-major and square; each relation is one column vector of
     the same length. relations may be omitted for a free group.
@@ -239,6 +240,18 @@ def _load_module_spec(path):
             raise SpecFileError(f"{path}: not UTF-8 text ({err.reason})")
         except RecursionError:
             raise SpecFileError(f"{path}: JSON nested too deeply")
+    try:
+        return new_cp_module(*_spec_contents(data))
+    except SpecFileError as err:
+        raise SpecFileError(f"{path}: {err}")
+    except NotPrime as err:
+        raise SpecFileError(f"{path}: field 'p': {type(err).__name__}: {err}")
+    except CpModuleError as err:
+        raise SpecFileError(f"{path}: field 'tau': {type(err).__name__}: {err}")
+
+
+def _spec_contents(data):
+    """(p, relations, tau) of a decoded spec, checked for shape and types."""
     if not isinstance(data, dict):
         raise SpecFileError("top level must be a JSON object")
     if "p" not in data:
@@ -268,26 +281,18 @@ def _load_module_spec(path):
 
 def cmd_cohomology(args) -> int:
     try:
-        p, rel, tau = _load_module_spec(args.spec)
+        module = _load_module(args.spec)
     except (OSError, SpecFileError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
-    try:
-        module = new_cp_module(p, rel, tau)
-    except NotPrime as err:
-        print(f"error: field 'p': {type(err).__name__}: {err}", file=sys.stderr)
-        return 2
-    except CpModuleError as err:
-        print(f"error: field 'tau': {type(err).__name__}: {err}", file=sys.stderr)
         return 2
     co = tate(module)
     invs = module.group.invariant_factors
     def count(n: int, noun: str) -> str:
         return f"{n} {noun}" if n == 1 else f"{n} {noun}s"
 
-    print(f"p = {p}")
+    print(f"p = {module.p}")
     print(f"group: {module.group}  ({count(module.ambient_rank, 'generator')},"
-          f" {count(rel.cols, 'relation')})")
+          f" {count(module.group.relations.cols, 'relation')})")
     print(f"invariant factors: {', '.join(map(str, invs)) if invs else '(none)'};"
           f" free rank {module.group.free_rank}")
     print(f"tate: dim h0 = {co.dim_h0}, dim h1 = {co.dim_h1}")

@@ -14,6 +14,11 @@ rank (the Herbrand quotient is trivial). S and N are polynomials in tau
 that descend to G, and S N = N S = tau^p - 1 vanishes there, so the Tate
 layer forms its subquotients with no check of its own. One entry each:
 tate_dim or tate, h0_and_fixed_points, tor_and_free_parts.
+
+The branch-count statements that read these numbers are written once
+here, for number fields (G = Cl, s ramified places) and for 3-manifolds
+(G = H_1, s branch circles) alike: upper, lower and cor_lower, each a
+pure function of ints that returns a Verdict.
 """
 
 from __future__ import annotations
@@ -345,3 +350,48 @@ def augmentation_module(p: int) -> CpModule:
     cols.append([-1] * n)
     tau = IntMatrix.from_columns(cols, n)
     return new_cp_module(p, IntMatrix.zeros(n, 0), tau)
+
+
+# -- branch-count statements ------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """Outcome of one branch-count statement lhs against rhs on one field
+    or example. bare_holds records whether the raw statement holds; passed
+    is bare_holds when the hypotheses are met and None otherwise, since
+    the examples exist to show that a statement can fail without them."""
+
+    theorem: str
+    lhs: int
+    rhs: int
+    hypotheses_met: bool
+    bare_holds: bool
+
+    @property
+    def passed(self) -> bool | None:
+        return self.bare_holds if self.hypotheses_met else None
+
+
+def upper(theorem: str, s: int, h0: int, h1_free: int, hypotheses_met: bool = True) -> Verdict:
+    """s <= 1 + h0 + h1_free: h0 = dim H^0 of the torsion side (Cl, H_tor
+    or H_1) and h1_free = dim H^1 of the free side (units mod torsion,
+    H_free)."""
+    rhs = 1 + h0 + h1_free
+    return Verdict(theorem, s, rhs, hypotheses_met, s <= rhs)
+
+
+def lower(theorem: str, s: int, h0: int, hypotheses_met: bool = True) -> Verdict:
+    """s >= 1 + h0, h0 = dim H^0 of the torsion side (Cl or H_tor)."""
+    rhs = 1 + h0
+    return Verdict(theorem, s, rhs, hypotheses_met, s >= rhs)
+
+
+def cor_lower(p: int, s: int, fixed: tuple, hypotheses_met: bool = True,
+              bounded: bool = True) -> Verdict:
+    """The p-part of the fixed classes, with invariant factors fixed, is
+    elementary abelian, and when bounded its rank is at most s - 1."""
+    elementary = all(f % (p * p) for f in fixed)
+    rank = sum(1 for f in fixed if f % p == 0)
+    return Verdict("cor_lower", rank, s - 1, hypotheses_met,
+                   elementary and (not bounded or rank <= s - 1))

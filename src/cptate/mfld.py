@@ -1,6 +1,8 @@
 """Two families of C_p-actions on closed 3-manifolds, given by their
-first homology with the induced action plus branching metadata, and
-checkers for the branch-count theorems on them.
+first homology with the induced action plus branching metadata, and the
+branch-count statements read off them: cpmod's upper, lower and
+cor_lower, shared with number fields, and the fixed-point count, which
+is this family's own.
 
 The lens family is an action on L(p,1) with quotient S^3 branched over
 3 circles. The hempel family has H_1 containing a nonsplit extension
@@ -16,14 +18,18 @@ from dataclasses import dataclass, field
 
 from .cpmod import (
     CpModule,
+    Verdict,
     augmentation_module,
+    cor_lower,
     direct_sum,
     h0_and_fixed_points,
+    lower,
     new_cp_module,
     tate_dim,
     tor_and_free_parts,
     trivial_free_module,
     trivial_module,
+    upper,
 )
 from .intlinalg import IntMatrix, from_invariants
 
@@ -57,28 +63,6 @@ class ManifoldExample:
         object.__setattr__(self, "dim_h1_free", tate_dim(free, 1))
         object.__setattr__(self, "tor_fixed", tor_fixed.invariant_factors)
         object.__setattr__(self, "free_rank", free.group.free_rank)
-
-
-@dataclass(frozen=True)
-class TheoremVerdict:
-    """Outcome of one inequality check on one example.
-
-    passed is None when the theorem's hypotheses fail on the example; in
-    that case bare_holds still records whether the raw inequality happens
-    to hold, since the examples exist to show it can fail.
-    """
-
-    theorem: str
-    lhs: int
-    rhs: int
-    hypotheses_met: bool
-    passed: bool | None
-    bare_holds: bool
-
-
-def _verdict(name, lhs, rhs, met, bare):
-    return TheoremVerdict(theorem=name, lhs=lhs, rhs=rhs, hypotheses_met=met,
-                          passed=bare if met else None, bare_holds=bare)
 
 
 # -- example constructors ----------------------------------------------------
@@ -115,64 +99,29 @@ def example_hempel(p: int, n: int) -> ManifoldExample:
 # -- theorem checkers --------------------------------------------------------
 
 
-def check_upperT(e: ManifoldExample) -> TheoremVerdict:
-    """s <= 1 + dim H^0(C_p, H_1) + dim H^1(C_p, H_free). No hypotheses.
-    Reads dim_h0_h1 and dim_h1_free."""
-    rhs = 1 + e.dim_h0_h1 + e.dim_h1_free
-    return _verdict("upperT", e.s, rhs, True, e.s <= rhs)
-
-
-def check_upper1(e: ManifoldExample) -> TheoremVerdict:
-    """s <= 1 + dim H^0(C_p, H_tor) + dim H^1(C_p, H_free), valid when the
-    quotient has no free homology. Reads dim_h0_tor and dim_h1_free."""
-    rhs = 1 + e.dim_h0_tor + e.dim_h1_free
-    met = e.quotient_free_rank == 0
-    return _verdict("upper1", e.s, rhs, met, e.s <= rhs)
-
-
-def check_lower1(e: ManifoldExample) -> TheoremVerdict:
-    """s >= 1 + dim H^0(C_p, H_tor), valid when s > 0 and H_1 splits.
-    Reads dim_h0_tor."""
-    rhs = 1 + e.dim_h0_tor
-    met = e.s > 0 and e.splits
-    return _verdict("lower1", e.s, rhs, met, e.s >= rhs)
-
-
-def check_reznikov(e: ManifoldExample) -> TheoremVerdict:
+def check_reznikov(e: ManifoldExample) -> Verdict:
     """Fixed classes of the torsion are exactly (Z/p)^(s-1), valid for
     rational homology spheres with p-torsion-free quotient and s > 0.
     Reads tor_fixed and free_rank."""
     met = e.free_rank == 0 and e.quotient_tor_p_trivial and e.s != 0
     bare = e.s >= 1 and e.tor_fixed == (e.p,) * (e.s - 1)
     rank = sum(1 for f in e.tor_fixed if f % e.p == 0)
-    return _verdict("reznikov", rank, e.s - 1, met, bare)
-
-
-def check_cor_lower_mfld(e: ManifoldExample) -> TheoremVerdict:
-    """p-torsion of the fixed classes is elementary abelian, of rank at
-    most s - 1 when H_1 splits and s > 0; valid when the quotient torsion
-    has no p-part. Reads tor_fixed."""
-    elementary = all(f % (e.p * e.p) for f in e.tor_fixed)
-    rank = sum(1 for f in e.tor_fixed if f % e.p == 0)
-    met = e.quotient_tor_p_trivial
-    if e.splits and e.s > 0:
-        bare = elementary and rank <= e.s - 1
-    else:
-        bare = elementary
-    return _verdict("cor_lower", rank, e.s - 1, met, bare)
-
-
-CHECKS = {
-    "upperT": check_upperT,
-    "upper1": check_upper1,
-    "lower1": check_lower1,
-    "reznikov": check_reznikov,
-    "cor_lower": check_cor_lower_mfld,
-}
+    return Verdict("reznikov", rank, e.s - 1, met, bare)
 
 
 def run_all_checks(e: ManifoldExample) -> dict:
-    return {name: fn(e) for name, fn in CHECKS.items()}
+    """The verdicts on e, by theorem. upperT needs no hypothesis; upper1
+    needs a quotient with no free homology; lower1 needs s > 0 and H_1 =
+    H_tor + H_free as modules; cor_lower needs quotient torsion with no
+    p-part, and bounds the rank only where lower1's hypotheses hold."""
+    return {
+        "upperT": upper("upperT", e.s, e.dim_h0_h1, e.dim_h1_free),
+        "upper1": upper("upper1", e.s, e.dim_h0_tor, e.dim_h1_free, e.quotient_free_rank == 0),
+        "lower1": lower("lower1", e.s, e.dim_h0_tor, e.s > 0 and e.splits),
+        "reznikov": check_reznikov(e),
+        "cor_lower": cor_lower(e.p, e.s, e.tor_fixed, e.quotient_tor_p_trivial,
+                               e.splits and e.s > 0),
+    }
 
 
 def expected_outcomes(e: ManifoldExample) -> dict:
@@ -206,7 +155,7 @@ def expected_outcomes(e: ManifoldExample) -> dict:
     raise KeyError(f"no documented outcomes for example family {family!r}")
 
 
-def verdict_to_dict(v: TheoremVerdict) -> dict:
+def verdict_to_dict(v: Verdict) -> dict:
     return {
         "theorem": v.theorem,
         "lhs": v.lhs,

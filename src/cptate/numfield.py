@@ -21,8 +21,10 @@ that is its own mirror is walked halfway, between its two axes. The wide
 class group is the narrow group modulo the class of (-1, b0, *): a copy
 of the rows with that class's coordinates as one more column. The class
 module's cohomology is shared by fields whose class groups have one
-2-primary part. Fundamental units come from the continued fraction of
-sqrt(d) through the Pell equation u^2 - d v^2 = +-4. Everything is exact.
+2-primary part. The unit's norm is read off the record: it is -1 exactly
+when the narrow and wide class numbers agree. Fundamental units
+themselves come from the continued fraction of sqrt(d) through the Pell
+equation u^2 - d v^2 = +-4. Everything is exact.
 """
 
 from __future__ import annotations
@@ -32,9 +34,11 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from math import gcd, isqrt, prod
 
-from .cpmod import CpModule, h0_and_fixed_points, is_prime, new_cp_module, tate_dim
+from .cpmod import (CpModule, Verdict, cor_lower, h0_and_fixed_points, is_prime, lower,
+                    new_cp_module, tate_dim, upper)
 from .intlinalg import IntMatrix, _invariants, from_invariants
 
 
@@ -517,23 +521,33 @@ class ClassData:
     narrow_invariants: tuple | None   # d > 0 only
     dim_h0_cl: int             # dim H^0(C_2, Cl)
     dim_h1_cl: int             # dim H^1(C_2, Cl)
-    fixed_free_rank: int       # Cl^(C_2), the fixed classes
-    fixed_invariants: tuple
+    fixed_invariants: tuple    # Cl^(C_2), the fixed classes
     unit_h1_dim: int           # dim H^1(C_2, units/torsion)
+
+    @property
+    def unit_norm(self) -> int | None:
+        """The fundamental unit's norm for d > 0, None for d < 0. The wide
+        group is the narrow one modulo the class of (-1, b0, *), which is
+        trivial exactly when some unit has norm -1; so the norm is -1
+        exactly when h+ = h (Jacobson and Williams, Solving the Pell
+        Equation, 2009)."""
+        if self.narrow_invariants is None:
+            return None
+        return -1 if prod(self.narrow_invariants) == self.class_number else 1
 
 
 @lru_cache(maxsize=1024)
 def _class_cohomology(inv: tuple) -> tuple:
-    """(dim H^0, dim H^1, fixed free rank, fixed invariant factors) of the
-    class module with invariant factors inv. Inversion is -1 on every
-    presentation, so inv fixes the module up to isomorphism. Under -1,
-    H^0 = A[2], H^1 = A/2A and the fixed points are A[2]; all three vanish
-    on a group of odd order, so _class_record passes the 2-primary
+    """(dim H^0, dim H^1, fixed invariant factors) of the class module
+    with invariant factors inv. Inversion is -1 on every presentation,
+    so inv fixes the module up to isomorphism. Under -1, H^0 = A[2],
+    H^1 = A/2A and the fixed points are A[2]; all three vanish on a
+    group of odd order, so _class_record passes the 2-primary
     invariants, and fields whose class groups share their 2-part share
     the entry."""
     cl = _class_module(inv)
     dim_h0, fixed = h0_and_fixed_points(cl)
-    return dim_h0, tate_dim(cl, 1), fixed.free_rank, fixed.invariant_factors
+    return dim_h0, tate_dim(cl, 1), fixed.invariant_factors
 
 
 @lru_cache(maxsize=2)
@@ -743,44 +757,19 @@ def unit_module(d: int) -> CpModule:
 # -- theorem checks ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    lhs: int
-    rhs: int
-    passed: bool
-
-
-def check_upper_nf(d: int) -> CheckResult:
-    """s0 <= 1 + dim H^0(C_2, Cl) + dim H^1(C_2, units/torsion); reads
-    the record's dim_h0_cl and unit_h1_dim."""
-    ram = ramification(d)
-    data = _class_data(d)
-    rhs = 1 + data.dim_h0_cl + data.unit_h1_dim
-    return CheckResult(lhs=ram.s0, rhs=rhs, passed=ram.s0 <= rhs)
-
-
-def check_lower_nf(d: int) -> CheckResult:
-    """s >= 1 + dim H^0(C_2, Cl), counting the archimedean place in s;
-    reads the record's dim_h0_cl."""
-    ram = ramification(d)
-    rhs = 1 + _class_data(d).dim_h0_cl
-    return CheckResult(lhs=ram.s, rhs=rhs, passed=ram.s >= rhs)
-
-
-def gauss_identity(d: int) -> CheckResult:
+def gauss_identity(ram: RamificationData, data: ClassData) -> Verdict:
     """s - dim Cl^(C_2) against the unit-norm prediction (1 for norm -1,
-    2 for norm +1); reads the record's dim_h0_cl.
+    2 for norm +1), read off a real field's records.
 
     Caution: the prediction has genuine counterexamples (d = 34 is the
     smallest), where -1 is a rational norm from the field but not the
     norm of a unit; the returned verdict records them honestly.
     """
-    if d < 2:
-        raise NotReal(f"gauss identity needs d > 1, got {d}")
-    ram = ramification(d)
-    value = ram.s - _class_data(d).dim_h0_cl
-    expected = 1 if fundamental_unit(d).norm == -1 else 2
-    return CheckResult(lhs=value, rhs=expected, passed=value == expected)
+    if data.unit_norm is None:
+        raise NotReal(f"gauss identity needs d > 1, got {data.d}")
+    value = ram.s - data.dim_h0_cl
+    expected = 1 if data.unit_norm == -1 else 2
+    return Verdict("gauss_identity", value, expected, True, value == expected)
 
 
 def gauss_witness(d: int) -> tuple | None:
@@ -793,18 +782,6 @@ def gauss_witness(d: int) -> tuple | None:
         if z * z == d - x * x:
             return x, z
     return None
-
-
-def check_cor_lower_nf(d: int) -> CheckResult:
-    """Fixed classes form an elementary abelian 2-group of rank <= s - 1;
-    reads the record's fixed_free_rank and fixed_invariants."""
-    ram = ramification(d)
-    data = _class_data(d)
-    fixed = data.fixed_invariants
-    elementary = data.fixed_free_rank == 0 and all(f % 4 for f in fixed)
-    rank = sum(1 for f in fixed if f % 2 == 0)
-    return CheckResult(lhs=rank, rhs=ram.s - 1,
-                       passed=elementary and rank <= ram.s - 1)
 
 
 HEEGNER_DS = (-1, -2, -3, -7, -11, -19, -43, -67, -163)
@@ -881,7 +858,7 @@ def _cubic_conductor_primes(f: int) -> int:
     return len(factors)
 
 
-def cubic_rank_check(record: CubicRecord) -> CheckResult:
+def cubic_rank_check(record: CubicRecord) -> Verdict:
     """3-rank(Cl) >= s - 1 where s counts primes dividing the conductor."""
     s = _cubic_conductor_primes(record.conductor)
     if record.declared_s is not None and record.declared_s != s:
@@ -898,7 +875,7 @@ def cubic_rank_check(record: CubicRecord) -> CheckResult:
             )
     cl = from_invariants(record.invariants)
     rank3 = cl.p_rank(3)
-    return CheckResult(lhs=rank3, rhs=s - 1, passed=rank3 >= s - 1)
+    return Verdict("cubic_rank", rank3, s - 1, True, rank3 >= s - 1)
 
 
 def _parse_cubic_row(lineno: int, row: list) -> CubicRecord | None:
@@ -921,7 +898,8 @@ def _parse_cubic_row(lineno: int, row: list) -> CubicRecord | None:
 
 def scan_cubic_csv(path):
     """Yield (lineno, CubicRecord | MalformedRecord) per data row, so a
-    caller can keep going past bad rows. A bad header raises outright.
+    caller can keep going past bad rows, one the csv reader rejects (a
+    field over its length limit) included. A bad header raises outright.
 
     Format: header 'conductor,class_invariants'; invariants are a
     ;-separated ascending divisibility chain, empty for a trivial group.
@@ -933,9 +911,14 @@ def scan_cubic_csv(path):
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["conductor", "class_invariants"]:
             raise MalformedRecord(f"bad header {header!r}, want conductor,class_invariants")
-        for lineno, row in enumerate(reader, start=2):
+        for lineno in count(2):
             try:
-                record = _parse_cubic_row(lineno, row)
+                record = _parse_cubic_row(lineno, next(reader))
+            except StopIteration:
+                return
+            except csv.Error as err:
+                yield lineno, MalformedRecord(f"line {lineno}: {err}")
+                continue
             except MalformedRecord as err:
                 yield lineno, err
                 continue
@@ -960,24 +943,22 @@ def read_cubic_csv(path) -> list:
 class QuadraticFieldReport:
     ramification: RamificationData
     class_data: ClassData
-    unit: FundamentalUnit | None
     checks: dict
 
 
 def field_report(d: int) -> QuadraticFieldReport:
-    """Everything the sweep records about one field."""
+    """Everything the sweep records about one field: its two records and
+    the verdicts read off them. upper_nf counts the finite ramified primes
+    s0, lower_nf and cor_lower all ramified places s; gauss_identity is
+    None for d < 0."""
+    ram, data = ramification(d), _class_data(d)
     checks = {
-        "upper_nf": check_upper_nf(d),
-        "lower_nf": check_lower_nf(d),
-        "gauss_identity": gauss_identity(d) if d > 1 else None,
-        "cor_lower": check_cor_lower_nf(d),
+        "upper_nf": upper("upper_nf", ram.s0, data.dim_h0_cl, data.unit_h1_dim),
+        "lower_nf": lower("lower_nf", ram.s, data.dim_h0_cl),
+        "gauss_identity": gauss_identity(ram, data) if d > 1 else None,
+        "cor_lower": cor_lower(2, ram.s, data.fixed_invariants),
     }
-    return QuadraticFieldReport(
-        ramification=ramification(d),
-        class_data=_class_data(d),
-        unit=fundamental_unit(d) if d > 1 else None,
-        checks=checks,
-    )
+    return QuadraticFieldReport(ramification=ram, class_data=data, checks=checks)
 
 
 def report_to_dict(report: QuadraticFieldReport) -> dict:
@@ -999,7 +980,7 @@ def report_to_dict(report: QuadraticFieldReport) -> dict:
         "narrow_invariants": list(data.narrow_invariants) if data.narrow_invariants is not None else None,
         "dim_h0_cl": data.dim_h0_cl,
         "dim_h1_cl": data.dim_h1_cl,
-        "unit_norm": report.unit.norm if report.unit else None,
+        "unit_norm": data.unit_norm,
         "unit_h1_dim": data.unit_h1_dim,
         "checks": {k: check_dict(v) for k, v in report.checks.items()},
     }

@@ -18,9 +18,6 @@ from cptate import (
     MalformedRecord,
     augmentation_module,
     check_reznikov,
-    check_upper1,
-    check_upperT,
-    check_lower1,
     classify_free,
     cubic_rank_check,
     example_hempel,
@@ -28,6 +25,7 @@ from cptate import (
     free_regular_module,
     fundamental_unit,
     read_cubic_csv,
+    run_all_checks,
     splitting_density,
     tate,
     tor_and_free_parts,
@@ -162,7 +160,7 @@ def test_criterion_7_lens_sharpness():
         tor, free = tor_and_free_parts(e.h1)
         assert tate(tor).dim_h0 == 1, f"p={p}"
         assert tate(free).dim_h1 == 1, f"p={p}"
-        v = check_upperT(e)
+        v = run_all_checks(e)["upperT"]
         assert v.hypotheses_met and v.passed
         assert v.lhs == v.rhs == 3, f"p={p}: bound not sharp"
     assert time.perf_counter() - t0 < 1.0
@@ -178,11 +176,12 @@ def test_criterion_8_hempel_family():
             tor, free = tor_and_free_parts(e.h1)
             assert tate(tor).dim_h0 == 1, f"p={p} n={n}"
             assert tate(free).dim_h1 == 0, f"p={p} n={n}"
-            lo = check_lower1(e)
+            verdicts = run_all_checks(e)
+            lo = verdicts["lower1"]
             assert not lo.hypotheses_met
             if n == 1:
                 assert not lo.bare_holds
-            up = check_upper1(e)
+            up = verdicts["upper1"]
             assert not up.hypotheses_met
             assert up.bare_holds == (n <= 2), f"p={p} n={n}"
     assert time.perf_counter() - t0 < 1.0

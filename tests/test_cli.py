@@ -9,6 +9,7 @@ import pytest
 import cptate.cli as cli
 import cptate.numfield as numfield
 from cptate.cli import main
+from cptate.cpmod import Verdict
 
 DATA = Path(__file__).parent / "data"
 
@@ -134,29 +135,30 @@ def test_verify_quadratic_reports_unit_norm_exception(capsys):
     assert line in out.splitlines()
 
 
+def _plant_upper_failure(monkeypatch):
+    """Make the shared upper bound, as numfield binds it, fail on the
+    inputs of d = 10: s0 = 2, dim H^0(Cl) = 1, dim H^1(units) = 1. Among
+    2 <= d <= 30 only d = 26 has the same three numbers."""
+    real = numfield.upper
+
+    def planted(theorem, s, h0, h1_free, *rest):
+        if (s, h0, h1_free) == (2, 1, 1):
+            return Verdict(theorem, 99, 0, True, False)
+        return real(theorem, s, h0, h1_free, *rest)
+
+    monkeypatch.setattr(numfield, "upper", planted)
+
+
 def test_verify_quadratic_flags_planted_failure(capsys, monkeypatch):
-    real = numfield.check_upper_nf
-
-    def planted(d):
-        if d == 10:
-            return numfield.CheckResult(lhs=99, rhs=0, passed=False)
-        return real(d)
-
-    monkeypatch.setattr(numfield, "check_upper_nf", planted)
+    _plant_upper_failure(monkeypatch)
     code, out, _ = run(capsys, ["verify-quadratic", "--d-min", "2", "--d-max", "30"])
     assert code == 1
-    assert "FAIL: d=10 upper_nf: lhs=99 rhs=0" in out
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert fails == ["FAIL: d=10 upper_nf: lhs=99 rhs=0", "FAIL: d=26 upper_nf: lhs=99 rhs=0"]
 
 
 def test_verify_quadratic_fail_fast_stops_early(capsys, monkeypatch):
-    real = numfield.check_upper_nf
-
-    def planted(d):
-        if d == 10:
-            return numfield.CheckResult(lhs=99, rhs=0, passed=False)
-        return real(d)
-
-    monkeypatch.setattr(numfield, "check_upper_nf", planted)
+    _plant_upper_failure(monkeypatch)
     code, out, _ = run(capsys, ["verify-quadratic", "--d-min", "2", "--d-max", "30",
                                 "--fail-fast"])
     assert code == 1
@@ -280,12 +282,16 @@ def test_cohomology_json_syntax_error_has_location(capsys, tmp_path):
     ('{"p": 2, "tau": [[1]], "relations": [[true]]}', "relations[0][0]"),
     ('{"p": 2, "tau": [[1]], "relations": [[1, 2]]}', "entry 0"),
     ('[1, 2]', "top level"),
+    ('{"p": 6, "tau": [[1]]}', "field 'p': NotPrime"),
+    ('{"p": 3, "tau": [[2]]}', "field 'tau': TauNotInvertible"),
 ])
 def test_cohomology_spec_diagnostics(capsys, tmp_path, payload, fragment):
+    # every content error is one line that names the file
     spec = tmp_path / "m.json"
     spec.write_text(payload, encoding="utf-8")
-    code, _, err = run(capsys, ["cohomology", "--spec", str(spec)])
-    assert code == 2
+    code, out, err = run(capsys, ["cohomology", "--spec", str(spec)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {spec}: ") and err.count("\n") == 1
     assert fragment in err
 
 
@@ -334,6 +340,19 @@ def test_verify_cubic_corrupt_fixture(capsys):
     assert "line 5" in out
     assert "conductor=9" in out
     assert "3 records, 2 passed, 1 failed, 2 malformed" in out
+
+
+def test_verify_cubic_reports_an_over_long_field_and_goes_on(capsys, tmp_path):
+    # the csv reader rejects a field over its length limit; that line is
+    # one malformed row, and the rows after it are still checked
+    path = tmp_path / "long.csv"
+    path.write_text("conductor,class_invariants\n7,\n7," + "1" * 200_000 + "\n9,\n",
+                    encoding="utf-8")
+    code, out, err = run(capsys, ["verify-cubic", "--csv", str(path)])
+    assert code == 1 and err == ""
+    assert "line 3: malformed: field larger than field limit" in out
+    assert "conductor=9" in out
+    assert "2 records, 2 passed, 0 failed, 1 malformed" in out
 
 
 def test_verify_cubic_fail_fast(capsys):

@@ -186,10 +186,21 @@ def test_one_field_builds_square_root_tables_only_below_32(monkeypatch, d):
     assert counts["_sqrt_mod_prime"] == len([p for p in lookups if p >= 32])
 
 
+def test_field_report_runs_no_pell_solver(monkeypatch):
+    # a work counter: the unit's norm is read off the class record, h+ = h,
+    # so no report walks the continued fraction of sqrt(d)
+    _clear_caches()
+    counts = _count_calls(monkeypatch, numfield, ("_pell4",))
+    ds = [d for d in range(-200, 201) if d not in (0, 1) and numfield.is_squarefree(d)]
+    for d in ds + [10**6 + 1, 10**9 + 7]:
+        numfield.field_report(d)
+    assert counts["_pell4"] == 0
+
+
 @pytest.mark.parametrize("d", [-21, 10])
 def test_field_report_factors_d_a_bounded_number_of_times(monkeypatch, d):
     # once the unit module of each sign is cached, a new field factors d
-    # once: its class group, ramification and unit share that check
+    # once: its class group and ramification share that check
     _clear_caches()
     numfield.field_report(-1)
     numfield.field_report(2)

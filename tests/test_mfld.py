@@ -2,11 +2,7 @@ import pytest
 
 from cptate import (
     ManifoldExample,
-    check_cor_lower_mfld,
-    check_lower1,
     check_reznikov,
-    check_upper1,
-    check_upperT,
     example_hempel,
     example_lens,
     from_invariants,
@@ -17,7 +13,7 @@ from cptate import (
     tor_and_free_parts,
     trivial_module,
 )
-from cptate.mfld import CHECKS, expected_outcomes, verdict_to_dict
+from cptate.mfld import expected_outcomes, verdict_to_dict
 from catalog import perm_block
 
 PRIMES = (2, 3, 5, 7)
@@ -81,19 +77,19 @@ def test_hempel_dims(p, n):
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_lens_upper_bounds_hold_with_equality(p):
-    e = example_lens(p)
-    v = check_upperT(e)
+    verdicts = run_all_checks(example_lens(p))
+    v = verdicts["upperT"]
     assert (v.lhs, v.rhs, v.hypotheses_met, v.passed) == (3, 3, True, True)
-    v = check_upper1(e)
+    v = verdicts["upper1"]
     assert (v.lhs, v.rhs, v.hypotheses_met, v.passed) == (3, 3, True, True)
 
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_lens_lower_bounds(p):
-    e = example_lens(p)
-    v = check_lower1(e)
+    verdicts = run_all_checks(example_lens(p))
+    v = verdicts["lower1"]
     assert (v.lhs, v.rhs, v.passed) == (3, 2, True)
-    v = check_cor_lower_mfld(e)
+    v = verdicts["cor_lower"]
     assert (v.lhs, v.rhs, v.passed) == (1, 2, True)
 
 
@@ -115,7 +111,7 @@ def test_lens_fails_fixed_point_count(p):
 @pytest.mark.parametrize("p", (2, 3, 5))
 def test_hempel_upper1_bare_violated_exactly_from_three_circles(p):
     for n in range(1, 9):
-        v = check_upper1(example_hempel(p, n))
+        v = run_all_checks(example_hempel(p, n))["upper1"]
         assert not v.hypotheses_met
         assert v.passed is None
         assert (v.lhs, v.rhs) == (n, 2)
@@ -125,7 +121,7 @@ def test_hempel_upper1_bare_violated_exactly_from_three_circles(p):
 @pytest.mark.parametrize("p", (2, 3, 5))
 def test_hempel_lower1_bare_violated_only_for_one_circle(p):
     for n in range(1, 9):
-        v = check_lower1(example_hempel(p, n))
+        v = run_all_checks(example_hempel(p, n))["lower1"]
         assert not v.hypotheses_met
         assert v.bare_holds == (n >= 2)
 
@@ -133,11 +129,11 @@ def test_hempel_lower1_bare_violated_only_for_one_circle(p):
 @pytest.mark.parametrize("p", (2, 3, 5))
 def test_hempel_always_meets_the_hypothesis_free_bounds(p):
     for n in range(1, 9):
-        e = example_hempel(p, n)
-        v = check_upperT(e)
+        verdicts = run_all_checks(example_hempel(p, n))
+        v = verdicts["upperT"]
         assert v.hypotheses_met and v.passed
         assert v.rhs == n + 1
-        v = check_cor_lower_mfld(e)
+        v = verdicts["cor_lower"]
         assert v.hypotheses_met and v.passed
 
 
@@ -221,10 +217,9 @@ def test_fixed_point_count_with_nontrivial_action(p):
 
 
 def test_checks_registry_and_serialization():
-    assert set(CHECKS) == {"upperT", "upper1", "lower1", "reznikov", "cor_lower"}
-    e = example_hempel(3, 4)
-    verdicts = run_all_checks(e)
-    assert set(verdicts) == set(CHECKS)
+    verdicts = run_all_checks(example_hempel(3, 4))
+    assert list(verdicts) == ["upperT", "upper1", "lower1", "reznikov", "cor_lower"]
+    assert all(v.theorem == name for name, v in verdicts.items())
     doc = verdict_to_dict(verdicts["upper1"])
     assert doc == {"theorem": "upper1", "lhs": 4, "rhs": 2,
                    "hypotheses_met": False, "pass": None, "bare_holds": False}

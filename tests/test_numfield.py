@@ -12,9 +12,6 @@ from cptate import (
     NotReal,
     NotSquareFree,
     ReductionLimit,
-    check_cor_lower_nf,
-    check_lower_nf,
-    check_upper_nf,
     class_group,
     class_number,
     classify_prime,
@@ -303,7 +300,6 @@ def test_class_cohomology_against_genus_theory_near_a_million():
         rank = _genus_two_rank(d)
         data = _class_data(d)
         assert data.dim_h0_cl == data.dim_h1_cl == rank, f"d = {d}"
-        assert data.fixed_free_rank == 0
         assert data.fixed_invariants == (2,) * rank, f"d = {d}"
 
 
@@ -683,6 +679,7 @@ def test_narrow_class_number_cross_identity():
         h, hplus = data.class_number, math.prod(data.narrow_invariants)
         factor = 1 if fundamental_unit(d).norm == -1 else 2
         assert hplus == h * factor, f"d = {d}"
+        assert data.unit_norm == fundamental_unit(d).norm, f"d = {d}"
 
 
 def test_narrow_invariants_pins():
@@ -705,25 +702,34 @@ def test_narrow_invariants_pins():
 
 
 def test_check_pins_small_fields():
-    c = check_upper_nf(-21)
+    checks = field_report(-21).checks
+    c = checks["upper_nf"]
     assert (c.lhs, c.rhs, c.passed) == (3, 3, True)
-    c = check_lower_nf(-21)
+    c = checks["lower_nf"]
     assert (c.lhs, c.rhs, c.passed) == (4, 3, True)
-    c = check_cor_lower_nf(-21)
+    c = checks["cor_lower"]
     assert (c.lhs, c.rhs, c.passed) == (2, 3, True)
-    c = check_upper_nf(-1)
+    c = field_report(-1).checks["upper_nf"]
     assert (c.lhs, c.rhs, c.passed) == (1, 1, True)
-    c = check_lower_nf(10)
+    c = field_report(10).checks["lower_nf"]
     assert (c.lhs, c.rhs, c.passed) == (2, 2, True)
+    # a field's verdicts always have their hypotheses met
+    for d in (-21, -1, 10):
+        for c in field_report(d).checks.values():
+            assert c is None or (c.hypotheses_met and c.passed == c.bare_holds)
+
+
+def gauss(d):
+    return field_report(d).checks["gauss_identity"]
 
 
 def test_gauss_identity_pins():
-    c = gauss_identity(10)
+    c = gauss(10)
     assert (c.lhs, c.rhs, c.passed) == (1, 1, True)
-    c = gauss_identity(3)
+    c = gauss(3)
     assert (c.lhs, c.rhs, c.passed) == (2, 2, True)
     with pytest.raises(NotReal):
-        gauss_identity(-5)
+        gauss_identity(ramification(-5), _class_data(-5))
 
 
 def test_gauss_identity_smallest_failure_is_34():
@@ -731,8 +737,8 @@ def test_gauss_identity_smallest_failure_is_34():
     # the fundamental unit 35 + 6 sqrt(34) has norm +1, so the unit-norm
     # prediction overshoots: the check must report this honestly
     for d in squarefree_range(2, 33):
-        assert gauss_identity(d).passed, f"d = {d}"
-    c = gauss_identity(34)
+        assert gauss(d).passed, f"d = {d}"
+    c = gauss(34)
     assert not c.passed
     assert (c.lhs, c.rhs) == (1, 2)
 
@@ -753,7 +759,7 @@ def test_gauss_value_range_and_one_sidedness():
     # the computed value always lands in {1, 2}; whenever the unit has
     # norm -1 the value is 1; any mismatch is one-sided (value 1 vs 2)
     for d in squarefree_range(2, 500):
-        c = gauss_identity(d)
+        c = gauss(d)
         assert c.lhs in (1, 2), f"d = {d}"
         if fundamental_unit(d).norm == -1:
             assert c.lhs == 1 and c.passed, f"d = {d}"
@@ -767,7 +773,7 @@ def test_gauss_value_detects_rational_norms():
     # unit-norm prediction asks for the stronger integral condition, and
     # the gap between the two is exactly where the check fails
     for d in squarefree_range(2, 500):
-        c = gauss_identity(d)
+        c = gauss(d)
         rational = all(q % 4 == 1 for q in factorize(d) if q != 2)
         assert (c.lhs == 1) == rational, f"d = {d}"
         data = _class_data(d)
