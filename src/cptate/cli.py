@@ -2,7 +2,8 @@
 cohomology queries, cubic CSV checks.
 
 Exit codes: 0 all checks passed, 1 at least one check failed (or a data
-row was malformed), 2 usage or I/O error.
+row was malformed), 2 usage or I/O error: a command raises InputError,
+which main prints as one "error: ..." line that names any file involved.
 """
 
 from __future__ import annotations
@@ -12,11 +13,38 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from . import mfld, numfield
 from .cpmod import CpModuleError, NotPrime, classify_free, is_prime, new_cp_module, tate
 from .intlinalg import IntMatrix
+
+# Limits on the work a command line or a spec file can ask for; README
+# gives what each allows.
+MAX_P = 256      # examples --p and a spec's p: lens(p) costs about p^3
+MAX_RANK = 128   # a spec's rank, and the rank n + 1 of hempel(p, n)
+MAX_JOBS = 64    # verify-quadratic's worker processes
+
+
+class InputError(Exception):
+    """Input a command rejects: main prints it and exits 2."""
+
+
+@contextmanager
+def _reading(path):
+    """Raises InputError for a path that cannot be opened or read as UTF-8."""
+    try:
+        yield
+    except UnicodeDecodeError as err:
+        raise InputError(f"{path}: not UTF-8 text ({err.reason})") from None
+    except OSError as err:
+        raise InputError(str(err)) from None
+
+
+def _check_abs_d(option: str, d: int) -> None:
+    if abs(d) > numfield.MAX_ABS_D:
+        raise InputError(f"{option} {d}: |d| is above the limit {numfield.MAX_ABS_D}")
 
 
 @dataclass
@@ -105,11 +133,11 @@ def _witness(d: int, name: str) -> str:
 
 def cmd_verify_quadratic(args) -> int:
     if args.d_min > args.d_max:
-        print(f"error: empty range [{args.d_min}, {args.d_max}]", file=sys.stderr)
-        return 2
-    if args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return 2
+        raise InputError(f"empty range [{args.d_min}, {args.d_max}]")
+    _check_abs_d("--d-min", args.d_min)
+    _check_abs_d("--d-max", args.d_max)
+    if not 1 <= args.jobs <= MAX_JOBS:
+        raise InputError(f"--jobs {args.jobs}: must be between 1 and {MAX_JOBS}")
     summary = RunSummary()
     eligible = []
     for d in sorted(range(args.d_min, args.d_max + 1), key=lambda x: (abs(x), x)):
@@ -168,15 +196,15 @@ def _verdict_status(v) -> str:
 
 def cmd_examples(args) -> int:
     if not args.p:
-        print("error: --p needs at least one prime", file=sys.stderr)
-        return 2
+        raise InputError("--p needs at least one prime")
     for q in args.p:
+        if q > MAX_P:
+            raise InputError(f"--p entry {q} is above the limit {MAX_P}")
         if not is_prime(q):
-            print(f"error: --p entry {q} is not prime", file=sys.stderr)
-            return 2
-    if args.n_max < 1:
-        print("error: --n-max must be >= 1", file=sys.stderr)
-        return 2
+            raise InputError(f"--p entry {q} is not prime")
+    # hempel(p, n) has rank n + 1
+    if not 1 <= args.n_max < MAX_RANK:
+        raise InputError(f"--n-max {args.n_max}: must be between 1 and {MAX_RANK - 1}")
     summary = RunSummary()
     out = []
     start = time.perf_counter()
@@ -189,10 +217,8 @@ def cmd_examples(args) -> int:
             expected = mfld.expected_outcomes(e)
             entry = {"name": e.name, "p": e.p, "s": e.s, "verdicts": {}}
             for name, v in verdicts.items():
-                exp_met, exp_out = expected[name]
-                actual_out = v.passed if v.hypotheses_met else v.bare_holds
                 okay = summary.record(e.name, name,
-                                      v.hypotheses_met == exp_met and actual_out == exp_out,
+                                      (v.hypotheses_met, v.bare_holds) == expected[name],
                                       v.lhs, v.rhs)
                 d = mfld.verdict_to_dict(v)
                 d["matches_expected"] = okay
@@ -214,64 +240,66 @@ def cmd_examples(args) -> int:
 # -- cohomology --------------------------------------------------------------
 
 
-class SpecFileError(ValueError):
-    pass
-
-
 def _spec_int(value, where):
     if not isinstance(value, int) or isinstance(value, bool):
-        raise SpecFileError(f"field '{where}': not an integer")
+        raise InputError(f"field '{where}': not an integer")
     return value
 
 
 def _load_module(path):
     """The module of the file {"p": int, "tau": [[row], ...], "relations":
-    [[col], ...]}, validated. Every SpecFileError names the file.
+    [[col], ...]}, validated. Every InputError names the file.
 
     tau is row-major and square; each relation is one column vector of
     the same length. relations may be omitted for a free group.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise SpecFileError(f"{path}:{err.lineno}:{err.colno}: {err.msg}")
-        except UnicodeDecodeError as err:
-            raise SpecFileError(f"{path}: not UTF-8 text ({err.reason})")
-        except RecursionError:
-            raise SpecFileError(f"{path}: JSON nested too deeply")
+    with _reading(path), open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as err:
+        raise InputError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from None
+    except RecursionError:
+        raise InputError(f"{path}: JSON nested too deeply") from None
+    except ValueError:  # an integer literal past int's digit limit
+        raise InputError(f"{path}: an integer has more than "
+                         f"{sys.get_int_max_str_digits()} digits") from None
     try:
         return new_cp_module(*_spec_contents(data))
-    except SpecFileError as err:
-        raise SpecFileError(f"{path}: {err}")
-    except NotPrime as err:
-        raise SpecFileError(f"{path}: field 'p': {type(err).__name__}: {err}")
+    except InputError as err:
+        raise InputError(f"{path}: {err}") from None
     except CpModuleError as err:
-        raise SpecFileError(f"{path}: field 'tau': {type(err).__name__}: {err}")
+        where = "p" if isinstance(err, NotPrime) else "tau"
+        raise InputError(f"{path}: field '{where}': {type(err).__name__}: {err}") from None
 
 
 def _spec_contents(data):
-    """(p, relations, tau) of a decoded spec, checked for shape and types."""
+    """(p, relations, tau) of a decoded spec, checked for shape, types and
+    the limits on p and the rank."""
     if not isinstance(data, dict):
-        raise SpecFileError("top level must be a JSON object")
+        raise InputError("top level must be a JSON object")
     if "p" not in data:
-        raise SpecFileError("missing field 'p'")
+        raise InputError("missing field 'p'")
     p = _spec_int(data["p"], "p")
+    if p > MAX_P:
+        raise InputError(f"field 'p': {p} is above the limit {MAX_P}")
     tau_rows = data.get("tau")
     if not isinstance(tau_rows, list):
-        raise SpecFileError("field 'tau': must be a list of rows")
+        raise InputError("field 'tau': must be a list of rows")
     m = len(tau_rows)
+    if m > MAX_RANK:
+        raise InputError(f"field 'tau': rank {m} is above the limit {MAX_RANK}")
     for i, row in enumerate(tau_rows):
         if not isinstance(row, list) or len(row) != m:
-            raise SpecFileError(f"field 'tau': row {i} must be a list of length {m}")
+            raise InputError(f"field 'tau': row {i} must be a list of length {m}")
         for j, x in enumerate(row):
             _spec_int(x, f"tau[{i}][{j}]")
     rel_cols = data.get("relations", [])
     if not isinstance(rel_cols, list):
-        raise SpecFileError("field 'relations': must be a list of column vectors")
+        raise InputError("field 'relations': must be a list of column vectors")
     for i, col in enumerate(rel_cols):
         if not isinstance(col, list) or len(col) != m:
-            raise SpecFileError(f"field 'relations': entry {i} must be a list of length {m}")
+            raise InputError(f"field 'relations': entry {i} must be a list of length {m}")
         for j, x in enumerate(col):
             _spec_int(x, f"relations[{i}][{j}]")
     tau = IntMatrix.from_rows(tau_rows) if m else IntMatrix.zeros(0, 0)
@@ -280,11 +308,7 @@ def _spec_contents(data):
 
 
 def cmd_cohomology(args) -> int:
-    try:
-        module = _load_module(args.spec)
-    except (OSError, SpecFileError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    module = _load_module(args.spec)
     co = tate(module)
     invs = module.group.invariant_factors
     def count(n: int, noun: str) -> str:
@@ -305,49 +329,28 @@ def cmd_cohomology(args) -> int:
 # -- verify-cubic ------------------------------------------------------------
 
 
-def _malformed_line(lineno: int, err: Exception) -> str:
-    # parse errors already carry "line N:" for the strict reader; drop it here
-    msg = str(err)
-    prefix = f"line {lineno}: "
-    if msg.startswith(prefix):
-        msg = msg[len(prefix):]
-    return f"line {lineno}: malformed: {msg}"
-
-
 def cmd_verify_cubic(args) -> int:
     summary = RunSummary()
     malformed = 0
     start = time.perf_counter()
     try:
-        for lineno, item in numfield.scan_cubic_csv(args.csv):
-            if isinstance(item, numfield.MalformedRecord):
-                malformed += 1
-                print(_malformed_line(lineno, item))
-                if args.fail_fast:
+        with _reading(args.csv):
+            for lineno, item in numfield.scan_cubic_csv(args.csv):
+                if isinstance(item, numfield.MalformedRecord):
+                    malformed += 1
+                    print(f"line {lineno}: malformed: {item}")
+                    bad = True
+                else:
+                    verdict = numfield.cubic_rank_check(item)
+                    summary.fields_checked += 1
+                    bad = not summary.record(item.conductor, "cubic_rank", verdict.passed,
+                                             verdict.lhs, verdict.rhs)
+                    invs = ";".join(map(str, item.invariants)) or "(trivial)"
+                    print(f"conductor={item.conductor:<6} Cl invariants={invs:<12} "
+                          f"rank3={verdict.lhs} >= s-1={verdict.rhs}: "
+                          f"{'ok' if verdict.passed else 'FAIL'}")
+                if bad and args.fail_fast:
                     break
-                continue
-            try:
-                verdict = numfield.cubic_rank_check(item)
-            except numfield.MalformedRecord as err:
-                malformed += 1
-                print(_malformed_line(lineno, err))
-                if args.fail_fast:
-                    break
-                continue
-            summary.fields_checked += 1
-            summary.record(item.conductor, "cubic_rank", verdict.passed, verdict.lhs, verdict.rhs)
-            invs = ";".join(map(str, item.invariants)) or "(trivial)"
-            print(f"conductor={item.conductor:<6} Cl invariants={invs:<12} "
-                  f"rank3={verdict.lhs} >= s-1={verdict.rhs}: "
-                  f"{'ok' if verdict.passed else 'FAIL'}")
-            if not verdict.passed and args.fail_fast:
-                break
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except UnicodeDecodeError as err:
-        print(f"error: {args.csv}: not UTF-8 text ({err.reason})", file=sys.stderr)
-        return 2
     except numfield.MalformedRecord as err:
         print(f"error: {args.csv}: {err}", file=sys.stderr)
         return 1
@@ -362,8 +365,8 @@ def cmd_verify_cubic(args) -> int:
 
 def cmd_nine_fields(args) -> int:
     if args.bound >= 0:
-        print("error: --bound must be negative", file=sys.stderr)
-        return 2
+        raise InputError("--bound must be negative")
+    _check_abs_d("--bound", args.bound)
     found = numfield.nine_fields_check(args.bound)
     expected = tuple(d for d in numfield.HEEGNER_DS if d >= args.bound)
     for d in found:
@@ -436,7 +439,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InputError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

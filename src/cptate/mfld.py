@@ -125,8 +125,8 @@ def run_all_checks(e: ManifoldExample) -> dict:
 
 
 def expected_outcomes(e: ManifoldExample) -> dict:
-    """Documented classification per check: (hypotheses_met, outcome),
-    where outcome is passed when hypotheses hold and bare_holds otherwise.
+    """Documented classification per check: (hypotheses_met, bare_holds).
+    Where the hypotheses hold, bare_holds is also the verdict's passed.
 
     The lens family satisfies every inequality whose hypotheses it meets
     and fails the fixed-point count (its free part is nonzero). The

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
@@ -39,7 +39,7 @@ from math import gcd, isqrt, prod
 
 from .cpmod import (CpModule, Verdict, cor_lower, h0_and_fixed_points, is_prime, lower,
                     new_cp_module, tate_dim, upper)
-from .intlinalg import IntMatrix, _invariants, from_invariants
+from .intlinalg import IntMatrix, _invariants
 
 
 class NotSquareFree(ValueError):
@@ -52,6 +52,10 @@ class NotReal(ValueError):
 
 class MalformedRecord(ValueError):
     """A cyclic-cubic input record fails validation."""
+
+
+class AboveLimit(ValueError):
+    """A field's |d| is above MAX_ABS_D; the message names d."""
 
 
 class ReductionLimit(RuntimeError):
@@ -149,13 +153,20 @@ class QuadraticField:
     discriminant: int
 
 
+# The largest |d| a field may have; a field's memory grows with its class
+# number. README gives what the limit allows.
+MAX_ABS_D = 10**10
+
+
 @lru_cache(maxsize=1024)
 def _prime_divisors(d: int) -> tuple:
     """The primes dividing d, from the one factorization that checks d
-    gives a quadratic field. Memoised, since a field's class group,
-    ramification and unit each check d."""
+    gives a quadratic field, with |d| at most MAX_ABS_D. Memoised, since a
+    field's class group, ramification and unit each check d."""
     if d in (0, 1):
         raise NotSquareFree(f"d = {d} does not give a quadratic field")
+    if abs(d) > MAX_ABS_D:
+        raise AboveLimit(f"d = {d}: |d| is above the limit {MAX_ABS_D}")
     factors = factorize(d)
     if any(e > 1 for e in factors.values()):
         raise NotSquareFree(f"d = {d} is not square-free")
@@ -829,77 +840,70 @@ def splitting_density(d: int, prime_bound: int) -> SplittingDensity:
 # -- cyclic cubic records ----------------------------------------------------
 
 
+MAX_CONDUCTOR = 10**12   # trial division of a prime near it takes 0.03 s
+
+
 @dataclass(frozen=True)
 class CubicRecord:
-    """Conductor and class-group invariant factors of a cyclic cubic field.
-    declared_s, when present, must match the conductor's prime count."""
+    """Conductor and class-group invariant factors of a cyclic cubic field,
+    checked when built: the conductor is at most MAX_CONDUCTOR and
+    admissible, a product of distinct primes = 1 mod 3 with at most one
+    factor of 9, and the invariants are ints >= 2 making a divisibility
+    chain. s, the number of primes dividing the conductor, is derived."""
 
     conductor: int
     invariants: tuple
-    declared_s: int | None = None
+    s: int = field(init=False, compare=False, repr=False)
 
-
-def _cubic_conductor_primes(f: int) -> int:
-    """Number of primes dividing an admissible cyclic-cubic conductor:
-    a product of distinct primes = 1 mod 3 with at most one factor of 9."""
-    if f < 2:
-        raise MalformedRecord(f"conductor {f} out of range")
-    factors = factorize(f)
-    for p, e in factors.items():
-        if p == 3:
-            if e != 2:
+    def __post_init__(self):
+        f = self.conductor
+        if not 2 <= f <= MAX_CONDUCTOR:
+            raise MalformedRecord(f"conductor {f} out of range [2, {MAX_CONDUCTOR}]")
+        factors = factorize(f)
+        for p, e in factors.items():
+            if p == 3 and e != 2:
                 raise MalformedRecord(
-                    f"conductor {f}: 3 appears with exponent {e}, only 9 is admissible"
-                )
-        elif e != 1:
-            raise MalformedRecord(f"conductor {f}: repeated prime {p}")
-        elif p % 3 != 1:
-            raise MalformedRecord(f"conductor {f}: prime {p} is not 1 mod 3")
-    return len(factors)
+                    f"conductor {f}: 3 appears with exponent {e}, only 9 is admissible")
+            if p != 3 and e != 1:
+                raise MalformedRecord(f"conductor {f}: repeated prime {p}")
+            if p % 3 == 2:
+                raise MalformedRecord(f"conductor {f}: prime {p} is not 1 mod 3")
+        for v in self.invariants:
+            if not isinstance(v, int) or v < 2:
+                raise MalformedRecord(f"invariant factor {v!r} out of range")
+        for x, y in zip(self.invariants, self.invariants[1:]):
+            if y % x:
+                raise MalformedRecord(f"invariants {self.invariants} are not a divisibility chain")
+        object.__setattr__(self, "s", len(factors))
 
 
 def cubic_rank_check(record: CubicRecord) -> Verdict:
-    """3-rank(Cl) >= s - 1 where s counts primes dividing the conductor."""
-    s = _cubic_conductor_primes(record.conductor)
-    if record.declared_s is not None and record.declared_s != s:
-        raise MalformedRecord(
-            f"conductor {record.conductor} has {s} prime divisors, record claims {record.declared_s}"
-        )
-    for v in record.invariants:
-        if not isinstance(v, int) or v < 2:
-            raise MalformedRecord(f"invariant factor {v!r} out of range")
-    for x, y in zip(record.invariants, record.invariants[1:]):
-        if y % x:
-            raise MalformedRecord(
-                f"invariants {record.invariants} are not a divisibility chain"
-            )
-    cl = from_invariants(record.invariants)
-    rank3 = cl.p_rank(3)
-    return Verdict("cubic_rank", rank3, s - 1, True, rank3 >= s - 1)
+    """3-rank(Cl) >= s - 1 where s counts primes dividing the conductor;
+    the 3-rank counts the record's invariant factors divisible by 3."""
+    rank3 = sum(1 for v in record.invariants if v % 3 == 0)
+    return Verdict("cubic_rank", rank3, record.s - 1, True, rank3 >= record.s - 1)
 
 
-def _parse_cubic_row(lineno: int, row: list) -> CubicRecord | None:
-    """One CSV row to a record; None for a blank row."""
-    if not row or all(not cell.strip() for cell in row):
-        return None
+def _parse_cubic_row(row: list) -> CubicRecord:
+    """One CSV row that is not blank to a record."""
     if len(row) != 2:
-        raise MalformedRecord(f"line {lineno}: expected 2 fields, got {len(row)}")
+        raise MalformedRecord(f"expected 2 fields, got {len(row)}")
     try:
         conductor = int(row[0].strip())
     except ValueError:
-        raise MalformedRecord(f"line {lineno}: conductor {row[0]!r} is not an integer")
+        raise MalformedRecord(f"conductor {row[0]!r} is not an integer")
     text = row[1].strip()
     try:
         invariants = tuple(int(t) for t in text.split(";")) if text else ()
     except ValueError:
-        raise MalformedRecord(f"line {lineno}: invariants {row[1]!r} unparseable")
+        raise MalformedRecord(f"invariants {row[1]!r} unparseable")
     return CubicRecord(conductor=conductor, invariants=invariants)
 
 
 def scan_cubic_csv(path):
-    """Yield (lineno, CubicRecord | MalformedRecord) per data row, so a
-    caller can keep going past bad rows, one the csv reader rejects (a
-    field over its length limit) included. A bad header raises outright.
+    """Yield (lineno, CubicRecord | MalformedRecord) per row that is not
+    blank, so a caller can keep going past bad rows, one the csv reader
+    rejects (a field over its length limit) included. A bad header raises.
 
     Format: header 'conductor,class_invariants'; invariants are a
     ;-separated ascending divisibility chain, empty for a trivial group.
@@ -913,27 +917,13 @@ def scan_cubic_csv(path):
             raise MalformedRecord(f"bad header {header!r}, want conductor,class_invariants")
         for lineno in count(2):
             try:
-                record = _parse_cubic_row(lineno, next(reader))
-            except StopIteration:
-                return
-            except csv.Error as err:
-                yield lineno, MalformedRecord(f"line {lineno}: {err}")
-                continue
-            except MalformedRecord as err:
-                yield lineno, err
-                continue
-            if record is not None:
-                yield lineno, record
-
-
-def read_cubic_csv(path) -> list:
-    """All records of a well-formed file; raises on the first bad row."""
-    records = []
-    for _, item in scan_cubic_csv(path):
-        if isinstance(item, MalformedRecord):
-            raise item
-        records.append(item)
-    return records
+                row = next(reader, None)
+                if row is None:
+                    return
+                if any(cell.strip() for cell in row):
+                    yield lineno, _parse_cubic_row(row)
+            except (csv.Error, MalformedRecord) as err:
+                yield lineno, MalformedRecord(str(err))
 
 
 # -- per-field report --------------------------------------------------------

@@ -24,7 +24,6 @@ from cptate import (
     example_lens,
     free_regular_module,
     fundamental_unit,
-    read_cubic_csv,
     run_all_checks,
     splitting_density,
     tate,
@@ -214,7 +213,8 @@ def test_criterion_10_splitting_density():
 @pytest.mark.acceptance(criterion=11, label="cubic record ingestion and rejection")
 def test_criterion_11_cubic_ingestion():
     t0 = time.perf_counter()
-    records = read_cubic_csv(DATA / "cyclic_cubic.csv")
+    records = [item for _, item in scan_cubic_csv(DATA / "cyclic_cubic.csv")]
+    assert all(isinstance(r, CubicRecord) for r in records)
     assert [r.conductor for r in records] == [7, 9, 13, 63]
     for r in records:
         assert cubic_rank_check(r).passed, f"conductor {r.conductor}"

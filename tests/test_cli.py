@@ -125,6 +125,18 @@ def test_verify_quadratic_pool_is_no_larger_than_the_range(capsys, monkeypatch):
     assert _SerialExecutor.sizes == [5, 2]
 
 
+def test_verify_quadratic_rejects_jobs_above_the_limit(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _SerialExecutor)
+    monkeypatch.setattr(_SerialExecutor, "sizes", [])
+    jobs = cli.MAX_JOBS + 1
+    code, out, err = run(capsys, ["verify-quadratic", "--d-min", "-3", "--d-max", "3",
+                                  "--jobs", str(jobs)])
+    assert code == 2 and out == ""
+    assert err == f"error: --jobs {jobs}: must be between 1 and {cli.MAX_JOBS}\n"
+    # refused before any pool is asked for
+    assert _SerialExecutor.sizes == []
+
+
 def test_verify_quadratic_reports_unit_norm_exception(capsys):
     # the unit-norm prediction genuinely fails at d = 34, and the sweep
     # must say so rather than hide it
@@ -164,6 +176,28 @@ def test_verify_quadratic_fail_fast_stops_early(capsys, monkeypatch):
     assert code == 1
     # d = 10 is the sixth eligible value, nothing beyond it is checked
     assert "checked 6 fields (11 skipped)" in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify-quadratic", "--d-min", "-1000000000000000000039",
+      "--d-max", "-1000000000000000000039"],
+     "--d-min -1000000000000000000039: |d| is above the limit 10000000000"),
+    (["verify-quadratic", "--d-min", "10000000001", "--d-max", "10000000001"],
+     "--d-min 10000000001: |d| is above the limit 10000000000"),
+    (["verify-quadratic", "--d-min", "10000000000", "--d-max", "10000000001", "--format", "json"],
+     "--d-max 10000000001: |d| is above the limit 10000000000"),
+    (["examples", "--p", "1000000000000000003"],
+     "--p entry 1000000000000000003 is above the limit 256"),
+    (["examples", "--p", "2,257"], "--p entry 257 is above the limit 256"),
+    (["examples", "--n-max", "128"], "--n-max 128: must be between 1 and 127"),
+    (["nine-fields", "--bound", "-10000000001"],
+     "--bound -10000000001: |d| is above the limit 10000000000"),
+], ids=("d-far", "d-min", "d-max", "p-far", "p", "n-max", "bound"))
+def test_work_above_a_limit_is_refused(capsys, argv, message):
+    # each limit is checked before any field, factorization or module
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 # -- examples ----------------------------------------------------------------------
@@ -295,6 +329,31 @@ def test_cohomology_spec_diagnostics(capsys, tmp_path, payload, fragment):
     assert fragment in err
 
 
+@pytest.mark.parametrize("payload, message", [
+    ('{"p": 1000000000000000003, "tau": [[1]]}',
+     "field 'p': 1000000000000000003 is above the limit 256"),
+    ('{"p": 257, "tau": [[1]]}', "field 'p': 257 is above the limit 256"),
+    (json.dumps({"p": 2, "tau": [[int(i == j) for j in range(129)] for i in range(129)]}),
+     "field 'tau': rank 129 is above the limit 128"),
+], ids=("p-far", "p", "rank"))
+def test_cohomology_spec_above_a_limit_is_refused(capsys, tmp_path, payload, message):
+    spec = tmp_path / "m.json"
+    spec.write_text(payload, encoding="utf-8")
+    code, out, err = run(capsys, ["cohomology", "--spec", str(spec)])
+    assert code == 2 and out == ""
+    assert err == f"error: {spec}: {message}\n"
+
+
+def test_cohomology_spec_integer_over_the_digit_limit(capsys, tmp_path):
+    # json turns a longer integer literal into a ValueError of its own
+    spec = tmp_path / "long.json"
+    spec.write_text('{"p": 2, "tau": [[' + "1" * 5000 + "]]}", encoding="utf-8")
+    code, out, err = run(capsys, ["cohomology", "--spec", str(spec)])
+    assert code == 2 and out == ""
+    assert err == (f"error: {spec}: an integer has more than "
+                   f"{sys.get_int_max_str_digits()} digits\n")
+
+
 def test_cohomology_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, ["cohomology", "--spec", str(tmp_path / "nope.json")])
     assert code == 2
@@ -353,6 +412,19 @@ def test_verify_cubic_reports_an_over_long_field_and_goes_on(capsys, tmp_path):
     assert "line 3: malformed: field larger than field limit" in out
     assert "conductor=9" in out
     assert "2 records, 2 passed, 0 failed, 1 malformed" in out
+
+
+def test_verify_cubic_reports_a_conductor_above_the_limit_and_goes_on(capsys, tmp_path):
+    # the conductor is refused before it is factored
+    path = tmp_path / "big.csv"
+    path.write_text("conductor,class_invariants\n100000000000000000039,\n9,\n",
+                    encoding="utf-8")
+    code, out, err = run(capsys, ["verify-cubic", "--csv", str(path)])
+    assert code == 1 and err == ""
+    assert out.splitlines()[0] == ("line 2: malformed: conductor 100000000000000000039 "
+                                   "out of range [2, 1000000000000]")
+    assert "conductor=9" in out
+    assert "1 records, 1 passed, 0 failed, 1 malformed" in out
 
 
 def test_verify_cubic_fail_fast(capsys):

@@ -21,7 +21,7 @@ import math
 from itertools import product
 from pathlib import Path
 
-from cptate import read_cubic_csv
+from cptate.numfield import scan_cubic_csv
 
 DATA = Path(__file__).parent / "data"
 
@@ -241,6 +241,5 @@ def test_conductor_63_class_group_is_z3():
 
 
 def test_fixture_matches_derived_class_groups():
-    records = read_cubic_csv(DATA / "cyclic_cubic.csv")
-    got = {r.conductor: r.invariants for r in records}
+    got = {r.conductor: r.invariants for _, r in scan_cubic_csv(DATA / "cyclic_cubic.csv")}
     assert got == {7: (), 9: (), 13: (), 63: (3,)}

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cptate import (
+    AboveLimit,
     CubicRecord,
     IntMatrix,
     MalformedRecord,
@@ -26,7 +27,6 @@ from cptate import (
     nine_fields_check,
     quadratic_field,
     ramification,
-    read_cubic_csv,
     report_to_dict,
     splitting_density,
     tate,
@@ -117,6 +117,16 @@ def test_quadratic_field_validation():
         quadratic_field(0)
     with pytest.raises(NotSquareFree):
         quadratic_field(1)
+
+
+def test_fields_above_the_limit_are_refused_before_factoring(monkeypatch):
+    def no_factoring(n):
+        raise AssertionError(f"factorize({n}) ran")
+
+    monkeypatch.setattr(numfield, "factorize", no_factoring)
+    for d in (numfield.MAX_ABS_D + 1, -(10**21 + 39)):
+        with pytest.raises(AboveLimit, match=f"d = {d}: "):
+            field_report(d)
 
 
 def test_discriminant_convention():
@@ -814,26 +824,26 @@ def test_cubic_rank_check_happy_paths():
     assert cubic_rank_check(CubicRecord(9, ())).passed
     c = cubic_rank_check(CubicRecord(63, (3,)))
     assert (c.lhs, c.rhs, c.passed) == (1, 1, True)
-    c = cubic_rank_check(CubicRecord(63, (3,), declared_s=2))
-    assert c.passed
+    assert CubicRecord(63, (3,)).s == 2
     # 3-rank ignores coprime torsion
     assert cubic_rank_check(CubicRecord(13, (2,))).passed
 
 
+# each record is built inside the test, since building an invalid one raises
 @pytest.mark.parametrize("record,fragment", [
-    (CubicRecord(21, ()), "exponent 1"),
-    (CubicRecord(5, ()), "not 1 mod 3"),
-    (CubicRecord(49, ()), "repeated prime"),
-    (CubicRecord(27, ()), "exponent 3"),
-    (CubicRecord(1, ()), "out of range"),
-    (CubicRecord(63, (3,), declared_s=1), "record claims 1"),
-    (CubicRecord(63, (2, 3)), "divisibility chain"),
-    (CubicRecord(63, (1, 3)), "out of range"),
-    (CubicRecord(63, ("3",)), "out of range"),
+    ((21, ()), "exponent 1"),
+    ((5, ()), "not 1 mod 3"),
+    ((49, ()), "repeated prime"),
+    ((27, ()), "exponent 3"),
+    ((1, ()), "out of range"),
+    ((10**21 + 39, ()), "conductor 1000000000000000000039 out of range"),
+    ((63, (2, 3)), "divisibility chain"),
+    ((63, (1, 3)), "out of range"),
+    ((63, ("3",)), "out of range"),
 ])
 def test_cubic_rank_check_rejects(record, fragment):
     with pytest.raises(MalformedRecord, match=fragment):
-        cubic_rank_check(record)
+        CubicRecord(*record)
 
 
 def test_scan_cubic_csv(tmp_path):
@@ -842,40 +852,37 @@ def test_scan_cubic_csv(tmp_path):
         "conductor,class_invariants\n7,\n9,\n13,\n63,3\n117,3\n",
         encoding="utf-8",
     )
-    records = read_cubic_csv(good)
-    assert [(r.conductor, r.invariants) for r in records] == [
-        (7, ()), (9, ()), (13, ()), (63, (3,)), (117, (3,)),
+    assert [(n, r.conductor, r.invariants) for n, r in scan_cubic_csv(good)] == [
+        (2, 7, ()), (3, 9, ()), (4, 13, ()), (5, 63, (3,)), (6, 117, (3,)),
     ]
-
-
-def test_scan_cubic_csv_reports_bad_rows_with_line_numbers(tmp_path):
-    mixed = tmp_path / "mixed.csv"
-    mixed.write_text(
-        "conductor,class_invariants\n7,\nseven,\n\n63,3;x\n9,\n",
-        encoding="utf-8",
-    )
-    items = list(scan_cubic_csv(mixed))
-    assert [lineno for lineno, _ in items] == [2, 3, 5, 6]
-    assert isinstance(items[1][1], MalformedRecord)
-    assert "line 3" in str(items[1][1])
-    assert isinstance(items[2][1], MalformedRecord)
-    assert "unparseable" in str(items[2][1])
-    assert items[3][1].conductor == 9
-
-
-def test_read_cubic_csv_strict(tmp_path):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("conductor,class_invariants\n63,3,extra\n", encoding="utf-8")
-    with pytest.raises(MalformedRecord, match="expected 2 fields"):
-        read_cubic_csv(bad)
     headerless = tmp_path / "headerless.csv"
     headerless.write_text("7,\n", encoding="utf-8")
     with pytest.raises(MalformedRecord, match="bad header"):
         list(scan_cubic_csv(headerless))
     empty = tmp_path / "empty.csv"
     empty.write_text("", encoding="utf-8")
-    with pytest.raises(MalformedRecord):
+    with pytest.raises(MalformedRecord, match="bad header"):
         list(scan_cubic_csv(empty))
+
+
+def test_scan_cubic_csv_reports_bad_rows_with_line_numbers(tmp_path):
+    mixed = tmp_path / "mixed.csv"
+    mixed.write_text(
+        "conductor,class_invariants\n7,\nseven,\n\n63,3;x\n9,\n63,3,extra\n21,\n",
+        encoding="utf-8",
+    )
+    items = list(scan_cubic_csv(mixed))
+    # the line number is the item's, and the message does not repeat it
+    assert [lineno for lineno, _ in items] == [2, 3, 5, 6, 7, 8]
+    assert [type(item) for _, item in items] == [
+        CubicRecord, MalformedRecord, MalformedRecord, CubicRecord, MalformedRecord,
+        MalformedRecord,
+    ]
+    assert str(items[1][1]) == "conductor 'seven' is not an integer"
+    assert "unparseable" in str(items[2][1])
+    assert items[3][1].conductor == 9
+    assert str(items[4][1]) == "expected 2 fields, got 3"
+    assert "exponent 1" in str(items[5][1])
 
 
 # -- reports -------------------------------------------------------------------------
