@@ -4,7 +4,7 @@ A module is a finitely generated abelian group G = Z^m / L together with
 an integer matrix tau whose induced map on G is an automorphism of order
 dividing p. Building a CpModule checks that, so every module is valid.
 With S = tau - 1 and N = 1 + tau + ... + tau^(p-1), which every module
-keeps as its `norm`, computed once when the module is built:
+keeps in the Smith coordinates of its group, formed once when it is built:
 
     H^0 = Ker S / Im N        (fixed points modulo norms)
     H^1 = Ker N / Im S
@@ -34,8 +34,9 @@ from .intlinalg import (
     snf,
     _cokernel_of,
     _cokernel_of_rows,
-    _first_outside,
+    _diagonal_group,
     _invariants,
+    _reduced_rows,
     _subquotient_relations,
 )
 
@@ -94,50 +95,56 @@ class CpModule:
     are equal when p, tau and the relations are: one tau on two
     presentations of one group can give non-isomorphic modules.
 
-    Building a module validates it and forms norm, N = 1 + tau + ... +
-    tau^(p-1) of this (tau, p); norm is derived, so equality and hashing
-    leave it out. Checks, in order: p prime, tau of the group's shape,
-    tau preserves the relation lattice, tau induces an automorphism (the
-    lattice spanned by tau's columns together with the relations is all
-    of Z^m), and tau^p = 1 on the group, tested on residues first when
-    N's entries can be long (see _order_fails_mod) and then exactly as
-    S N = tau^p - 1 = 0 there (tau^(p-1) inverts a tau of order p, so the
-    invertibility test only names the error once the order test fails).
-    The checks read the Smith form the group keeps, so none takes a
-    second one of the relations. The torsion and free parts cut from a valid module are
-    valid, and _of builds them unchecked."""
+    Building a module moves it once into the Smith coordinates y = u x of
+    its group's form, where smith_group presents the group by the lattice
+    D of the d_i e_i, i < rank: smith_tau = u tau u^-1, and smith_norm is
+    its N with row i < rank in [0, d_i), exact modulo D (see _norm); all
+    three are derived, so equality and hashing leave them out. Checks, in
+    order: p prime, tau of the group's shape, smith_tau maps D into
+    itself, tau is onto (its columns and the relations span Z^m), and
+    tau^p = 1, on the free block's residues first when N can be long (see
+    _order_fails_mod), then as S N = tau^p - 1 mapping into D (tau^(p-1)
+    inverts a tau of order p, so the onto test runs only on a failure)."""
 
     p: int
     group: FgAbGroup
     tau: IntMatrix
-    norm: IntMatrix = field(init=False, repr=False)
+    smith_group: FgAbGroup = field(init=False, repr=False)
+    smith_tau: IntMatrix = field(init=False, repr=False)
+    smith_norm: IntMatrix = field(init=False, repr=False)
 
     def __post_init__(self):
         p, group, tau = self.p, self.group, self.tau
         if not is_prime(p):
             raise NotPrime(f"p = {p} is not prime")
-        m, relations, rel_dec = group.ambient_rank, group.relations, group.smith
+        m, dec = group.ambient_rank, group.smith
         if tau.rows != m or tau.cols != m:
             raise CpModuleError(f"tau must be {m}x{m}, got {tau.rows}x{tau.cols}")
-        if _first_outside(rel_dec, rel_dec.u @ (tau @ relations)) is not None:
+        rank, diag = dec.rank, dec.diagonal[:dec.rank]
+        moved = dec.u @ tau @ dec.u_inv
+        # column j < rank times d_j must lie in D; d_i divides d_j for i <= j
+        if (any(any(moved.row(i)[:rank]) for i in range(rank, m))
+                or any(moved.at(i, j) * diag[j] % diag[i] for i in range(rank) for j in range(i))):
             raise TauDoesNotDescend("tau does not map the relation lattice into itself")
-        norm_bits = p * (m * max(map(abs, tau.entries), default=0)).bit_length()
-        wrong_order = norm_bits > _SHORT_NORM_BITS and _order_fails_mod(rel_dec, tau, p)
-        norm = None if wrong_order else _norm(tau, p)
-        if wrong_order or _first_outside(rel_dec, rel_dec.u @ (tau @ norm - norm)) is not None:
+        # only N's free rows can be long, and they are zero left of the free block
+        free_max = max(map(abs, moved.entries[rank * m:]), default=0)
+        wrong_order = (p * ((m - rank) * free_max).bit_length() > _SHORT_NORM_BITS
+                       and _order_fails_mod(_diagonal_block(moved, range(rank, m)), p))
+        norm = None if wrong_order else _norm(moved, p, diag)
+        if wrong_order or any(_reduced_rows((moved - IntMatrix.identity(m)) @ norm, diag).entries):
             # surjectivity on a f.g. group is equivalent to invertibility
-            if not cokernel(tau.hstack(relations)).is_trivial:
+            if not cokernel(tau.hstack(group.relations)).is_trivial:
                 raise TauNotInvertible("tau is not surjective on the group")
             raise TauOrderNotDividingP(f"tau^{p} is not the identity on the group")
-        object.__setattr__(self, "norm", norm)
+        self.__dict__.update(smith_group=_diagonal_group(diag, m), smith_tau=moved, smith_norm=norm)
 
     @classmethod
-    def _of(cls, p, group, tau, norm):
-        """Trusted constructor for a part cut from a valid module, which is
-        valid too: norm must be N of (tau, p); __post_init__'s checks are
-        skipped."""
+    def _of(cls, p, group, tau, smith_norm):
+        """Unchecked constructor for a part of a valid module: group is its own
+        Smith form, smith_norm is N of (tau, p) reduced as __post_init__ does."""
         m = object.__new__(cls)
-        m.__dict__.update(p=p, group=group, tau=tau, norm=norm)
+        m.__dict__.update(p=p, group=group, tau=tau, smith_group=group, smith_tau=tau,
+                          smith_norm=smith_norm)
         return m
 
     def __eq__(self, other):
@@ -155,54 +162,45 @@ class CpModule:
         return f"C_{self.p}-module on {self.group}"
 
 
-def _norm(tau: IntMatrix, p: int) -> IntMatrix:
+def _norm(tau: IntMatrix, p: int, diagonal: tuple) -> IntMatrix:
     """N = 1 + tau + ... + tau^(p-1), p >= 2, by doubling on the bits of p
-    from N_2 = 1 + tau: N_2k = N_k + tau^k N_k and N_(k+1) = 1 + tau N_k,
-    where tau^k = 1 + S N_k, so each further bit costs two products of
-    large factors, and one more when it is set."""
+    from N_2 = 2 + S: N_2k = 2 N_k + (S N_k) N_k, as tau^k = 1 + S N_k, and
+    N_(k+1) = 1 + N_k + S N_k, so each further bit costs two products and
+    one more when it is set. Each step's row i is reduced into [0, d_i),
+    d_i = diagonal[i]; tau maps the lattice D of the d_i e_i into itself,
+    so N stays exact modulo D, and exact beyond."""
     one = IntMatrix.identity(tau.rows)
-    s_op = tau - one
+    s_op = _reduced_rows(tau, diagonal) - one
     bits = bin(p)[3:]
-    n = one + tau
+    n = _reduced_rows(one + one + s_op, diagonal)
     if bits[0] == "1":
-        n = one + tau @ n
+        n = _reduced_rows(one + n + s_op @ n, diagonal)
     for bit in bits[1:]:
-        n = n + (one + s_op @ n) @ n
+        n = _reduced_rows(n + n + (s_op @ n) @ n, diagonal)
         if bit == "1":
-            n = one + tau @ n
+            n = _reduced_rows(one + n + s_op @ n, diagonal)
     return n
 
 
 # When N's entries can be long, tau^p = 1 is first tested on residues, in
 # O(log p) products, so a tau of the wrong order is rejected before N is
-# formed over Z. The entries of N are below (m c)^p, c the largest |entry|
-# of tau; under _SHORT_NORM_BITS bits, forming N by doubling costs about as
-# much as the residue test, so it is skipped.
+# formed. Only N(F), F the k x k free block of smith_tau, is exact, with
+# entries below (k c)^p, c F's largest |entry|; under _SHORT_NORM_BITS
+# bits, forming N costs about as much as the residue test, so it is skipped.
 _RESIDUE_PRIME = 2**31 - 1
 _SHORT_NORM_BITS = 4096
 
 
-def _order_fails_mod(rel_dec, tau: IntMatrix, p: int) -> bool:
-    """True when some column of tau^p - 1 lies outside L + l Z^m, L the
-    relations' lattice, so that tau^p is not 1 on the group. l is the
-    group's exponent e when the group is finite: then e Z^m lies in L and
-    the test is exact. Otherwise l = _RESIDUE_PRIME. With u L = diag(d) w,
-    w unimodular, x lies in L + l Z^m iff (u x)_i is 0 modulo gcd(d_i, l)
-    below the rank and modulo l beyond it."""
-    m, rank = tau.rows, rel_dec.rank
-    ell = rel_dec.diagonal[rank - 1] if rank == m else _RESIDUE_PRIME
-
-    def residues(a):
-        return IntMatrix._of(m, m, tuple(x % ell for x in a.entries))
-
-    base = power = residues(tau)
+def _order_fails_mod(free: IntMatrix, p: int) -> bool:
+    """True when F^p is not 1 modulo _RESIDUE_PRIME, F = free the action
+    on the free quotient G / G_tor, so that tau^p is not 1 on the group."""
+    residues = [_RESIDUE_PRIME] * free.rows
+    base = power = _reduced_rows(free, residues)
     for bit in bin(p)[3:]:
-        power = residues(power @ power)
+        power = _reduced_rows(power @ power, residues)
         if bit == "1":
-            power = residues(power @ base)
-    y = rel_dec.u @ (power - IntMatrix.identity(m))
-    mods = [gcd(d, ell) for d in rel_dec.diagonal[:rank]] + [ell] * (m - rank)
-    return any(x % g for i, g in enumerate(mods) for x in y.row(i))
+            power = _reduced_rows(power @ base, residues)
+    return any(_reduced_rows(power - IntMatrix.identity(free.rows), residues).entries)
 
 
 def new_cp_module(p: int, relations: IntMatrix, tau: IntMatrix) -> CpModule:
@@ -224,15 +222,23 @@ class TateCohomology:
 
 def _elementary_dim(module: CpModule, q: int, relations: tuple) -> int:
     """F_p dimension of H^q, presented by relations, a (rows, cols) pair
-    whose rows are consumed. The construction guarantees an elementary
-    abelian p-group; a violation would mean the module's validation was
-    broken, so it is an internal error rather than a verdict."""
-    factors, free_rank = _invariants(*relations)
-    if free_rank or any(f != module.p for f in factors):
-        raise CpModuleError(
-            f"H^{q} has invariant factors {factors} and free rank {free_rank}, not an "
-            f"elementary abelian {module.p}-group; module validation was broken"
-        )
+    whose rows are consumed. H^q is killed by p, so it is H^q (x) Z/p^2,
+    which reducing a row modulo p^2 leaves as it is; each row with an
+    entry outside (-p^2, p^2) is, and the column p^2 e_i appended for row
+    i keeps the elimination's entries short. A group that is not
+    elementary abelian (a free or Z/p^k part, k >= 2, shows as Z/p^2; a
+    part prime to p vanishes) means the module's validation was broken."""
+    (rows, cols), p, pp = relations, module.p, module.p ** 2
+    long = [i for i, row in enumerate(rows) if max(map(abs, row), default=0) >= pp]
+    for i in long:
+        rows[i] = [x % pp for x in rows[i]]
+    for i, row in enumerate(rows):
+        row += [pp * (i == j) for j in long]
+    factors, free_rank = _invariants(rows, cols + len(long))
+    factors = [gcd(f, pp) for f in factors if f % p == 0] + [pp] * free_rank
+    if any(f != p for f in factors):
+        raise CpModuleError(f"H^{q} (x) Z/{pp} has invariant factors {factors}, not an "
+                            f"elementary abelian {p}-group; module validation was broken")
     return len(factors)
 
 
@@ -241,9 +247,9 @@ def tate_dim(module: CpModule, q: int) -> int:
     Ker S / Im N for q = 0 and Ker N / Im S for q = 1."""
     if q not in (0, 1):
         raise ValueError(f"Tate degree must be 0 or 1, got {q}")
-    s_op = module.tau - IntMatrix.identity(module.ambient_rank)
-    ker_of, im_of = (s_op, module.norm) if q == 0 else (module.norm, s_op)
-    (relations,) = _subquotient_relations(module.group, ker_of, (im_of,))
+    s_op, norm = module.smith_tau - IntMatrix.identity(module.ambient_rank), module.smith_norm
+    ker_of, im_of = (s_op, norm) if q == 0 else (norm, s_op)
+    (relations,) = _subquotient_relations(module.smith_group, ker_of, (im_of,))
     return _elementary_dim(module, q, relations)
 
 
@@ -256,8 +262,8 @@ def h0_and_fixed_points(module: CpModule) -> tuple:
     """(dim H^0, fixed points): Ker S modulo Im N and modulo 0, two
     quotients of one preimage of S."""
     m = module.ambient_rank
-    s_op = module.tau - IntMatrix.identity(m)
-    h0, fixed = _subquotient_relations(module.group, s_op, (module.norm, IntMatrix.zeros(m, m)))
+    s_op, norm = module.smith_tau - IntMatrix.identity(m), module.smith_norm
+    h0, fixed = _subquotient_relations(module.smith_group, s_op, (norm, IntMatrix.zeros(m, m)))
     return _elementary_dim(module, 0, h0), _cokernel_of_rows(*fixed)
 
 
@@ -287,32 +293,25 @@ def classify_free(module: CpModule) -> TypeMultiplicities:
     return TypeMultiplicities(f=rem // module.p, t=t, a=a)
 
 
-def _block(mat: IntMatrix, rows: range, cols: range) -> IntMatrix:
-    n, e = mat.cols, mat.entries
-    return IntMatrix._of(len(rows), len(cols), tuple(chain.from_iterable(
-        e[i * n + cols.start:i * n + cols.stop] for i in rows)))
-
-
 def tor_and_free_parts(module: CpModule) -> tuple:
     """(torsion subgroup with the restricted action, torsion-free quotient
-    G / G_tor with the induced action), cut from one conjugation. In the
-    coordinates y = U x of the Smith form that the group keeps, the first
-    `rank` basis vectors span the preimage of the torsion, which the Smith
-    diagonal presents. tau keeps it, so U tau U^-1 has a zero lower-left
-    block, and its upper-left and lower-right blocks act on the two parts.
-    N is a polynomial in tau, so the blocks of U N U^-1 are the parts' N.
-    U^-1 is the one that Smith form carries, so no second form inverts U."""
-    dec = module.group.smith
-    tau, norm = (dec.u @ x @ dec.u_inv for x in (module.tau, module.norm))
-    tor, free = range(dec.rank), range(dec.rank, module.ambient_rank)
-    if not _block(tau, free, tor).is_zero():
-        raise CpModuleError("torsion subgroup is not tau-stable; validation broken")
-    diag = dec.diagonal
-    rel = IntMatrix._of(dec.rank, dec.rank, tuple(diag[i] if i == j else 0
-                                                  for i in tor for j in tor))
-    return (CpModule._of(module.p, cokernel(rel), _block(tau, tor, tor), _block(norm, tor, tor)),
-            CpModule._of(module.p, cokernel(IntMatrix.zeros(len(free), 0)),
-                         _block(tau, free, free), _block(norm, free, free)))
+    G / G_tor with the induced action), sliced with no product and no
+    Smith form. In Smith coordinates the first `rank` basis vectors span
+    the preimage of the torsion, which tau keeps (validation checked the
+    zero lower-left block), so the diagonal blocks of smith_tau and
+    smith_norm are the parts' tau and N, on their own Smith forms."""
+    dec, m = module.group.smith, module.ambient_rank
+    return tuple(CpModule._of(module.p, group, _diagonal_block(module.smith_tau, span),
+                              _diagonal_block(module.smith_norm, span))
+                 for group, span in (
+                     (_diagonal_group(dec.diagonal[:dec.rank], dec.rank), range(dec.rank)),
+                     (_diagonal_group((), m - dec.rank), range(dec.rank, m))))
+
+
+def _diagonal_block(x: IntMatrix, span: range) -> IntMatrix:
+    """The square block of x on the rows and columns in span."""
+    return IntMatrix._of(len(span), len(span), tuple(chain.from_iterable(
+        x.row(i)[span.start:span.stop] for i in span)))
 
 
 def direct_sum(a: CpModule, b: CpModule) -> CpModule:

@@ -17,13 +17,13 @@ from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, repeat
-from operator import add, mod, mul, neg, sub
+from operator import add, mul, neg, sub
 
 # IntMatrix.__matmul__ packs rows into 64-bit digits of one int when its
 # result and its right factor stay below this bound in magnitude
 _DIGIT_BOUND = 1 << 62
-# A product with at most this many entries takes dot products: packing
-# costs a conversion per row of either factor, whatever the entry count.
+# Dot products serve results with at most this many entries outside the
+# left factor's zero rows: packing converts each row of either factor.
 # On the products of a manifolds pass, the cutover was between 25 entries
 # (5x5 results, and every m x m x 1 up to m = 17) and 36 (6x6)
 _DOT_ENTRIES = 25
@@ -156,10 +156,10 @@ class IntMatrix:
         packed rows, and its digits are read back through an array. The
         digits are exact while max|b| < 2^62 and n max|a| max|b| < 2^62,
         which keep every packed and every result entry below 2^63; a
-        product outside that bound, or with at most _DOT_ENTRIES entries,
-        takes one dot product per entry. A zero factor gives the zero
-        result and a square identity factor the other factor, found by
-        scans in C before any arithmetic."""
+        product outside that bound, or with at most _DOT_ENTRIES entries
+        outside the zero rows of self, takes one dot product per such
+        entry. A zero factor gives the zero result and a square identity
+        factor the other factor, found by scans in C before any arithmetic."""
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if self.cols != other.rows:
@@ -175,11 +175,12 @@ class IntMatrix:
         if n == p and b == _identity_entries(n):
             return self
         rows = [a[i * n:(i + 1) * n] for i in range(m)]
-        small = m * p <= _DOT_ENTRIES
+        small = sum(map(any, rows)) * p <= _DOT_ENTRIES
         b_max = 0 if small or not b else max(max(b), -min(b))
         if small or b_max >= _DIGIT_BOUND or a and n * max(max(a), -min(a)) * b_max >= _DIGIT_BOUND:
-            cols = [b[j::p] for j in range(p)]
-            return IntMatrix._of(m, p, tuple(sum(map(mul, r, c)) for r in rows for c in cols))
+            cols, zero = [b[j::p] for j in range(p)], (0,) * p
+            return IntMatrix._of(m, p, tuple(chain.from_iterable(
+                [sum(map(mul, r, c)) for c in cols] if any(r) else zero for r in rows)))
         # adding the bias puts every digit in [0, 2^64), so no digit
         # carries; xor with it maps between that and two's complement
         width = 8 * p
@@ -223,11 +224,6 @@ class IntMatrix:
             out.extend(self.row(i))
             out.extend(other.row(i))
         return IntMatrix._of(self.rows, self.cols + other.cols, tuple(out))
-
-    # -- predicates ---------------------------------------------------
-
-    def is_zero(self):
-        return all(x == 0 for x in self.entries)
 
     def __repr__(self):
         if self.rows * self.cols <= 16:
@@ -387,16 +383,12 @@ def _kernel_rows(s, n) -> list:
     return w[_eliminate(s, n, w):]
 
 
-def _first_outside(dec: SmithDecomposition, y: IntMatrix) -> int | None:
-    """Index of the first column of y = dec.u @ mat whose column of mat lies
-    outside the column lattice of dec.source, or None if there is none."""
-    dg, r = dec.diagonal[:dec.rank], dec.rank
-    entries, n = y.entries, y.cols
-    for j in range(n):
-        c = entries[j::n]
-        if any(c[r:]) or any(map(mod, c, dg)):
-            return j
-    return None
+def _reduced_rows(a: IntMatrix, moduli) -> IntMatrix:
+    """a with row i < len(moduli) reduced into [0, moduli[i]), the rows
+    beyond kept: by a Smith form's d_i, u @ x is 0 iff x is in its lattice."""
+    n, e = a.cols, a.entries
+    return IntMatrix._of(a.rows, n, tuple(chain.from_iterable(
+        [x % d for x in e[i * n:(i + 1) * n]] for i, d in enumerate(moduli))) + e[len(moduli) * n:])
 
 
 @dataclass(frozen=True)
@@ -474,6 +466,15 @@ def _cokernel_of(dec: SmithDecomposition) -> FgAbGroup:
         free_rank=dec.source.rows - dec.rank,
         smith=dec,
     )
+
+
+def _diagonal_group(diagonal: tuple, rows: int) -> FgAbGroup:
+    """Z^rows / (d_i e_i), d_i = diagonal[i] > 0 each dividing the next:
+    relations that are their own Smith form, with u = 1, taking no snf."""
+    r, one, entries = len(diagonal), IntMatrix.identity(rows), [0] * (rows * len(diagonal))
+    entries[:r * r:r + 1] = diagonal
+    source = IntMatrix._of(rows, r, tuple(entries))
+    return _cokernel_of(SmithDecomposition(one, one, diagonal, r, source))
 
 
 def from_invariants(factors, free_rank=0) -> FgAbGroup:

@@ -214,9 +214,9 @@ def test_example_checks_compute_cohomology_once(monkeypatch, make, args):
     counts = _count_calls(monkeypatch, mfld, ("tate_dim", "h0_and_fixed_points",
                                               "tor_and_free_parts"))
     mfld.run_all_checks(make(*args))
-    # only the groups the checks read: both parts from one conjugation,
-    # H^0 of h1 and H^1 of its free part alone, and H^0 and the fixed
-    # points of its torsion part together
+    # only the groups the checks read: both parts sliced at once, H^0 of
+    # h1 and H^1 of its free part alone, and H^0 and the fixed points of
+    # its torsion part together
     assert counts == {"tor_and_free_parts": 1, "tate_dim": 2, "h0_and_fixed_points": 1}
     # tor_and_free_parts is the one entry to the parts: no wrapper for
     # either part alone is left in cpmod for mfld to call
@@ -272,11 +272,12 @@ def test_field_report_smith_form_count(monkeypatch, d, calls):
 
 
 @pytest.mark.parametrize("make, args, calls",
-                         [(mfld.example_lens, (5,), 15), (mfld.example_hempel, (3, 4), 15)],
+                         [(mfld.example_lens, (5,), 13), (mfld.example_hempel, (3, 4), 13)],
                          ids=CASE_IDS)
 def test_example_smith_form_count(monkeypatch, make, args, calls):
-    # the relations' Smith form carries U^-1, so the parts need no second
-    # one to invert U, and lens's trivial Z/p summand is validated on the
+    # the relations' Smith form carries U^-1, so no second one inverts U;
+    # the parts' groups are presented by the Smith diagonal, which is its
+    # own Smith form; and lens's trivial Z/p summand is validated on the
     # group it is given, with no second Smith form of its relations
     counts = _count_smith_forms(monkeypatch)
     mfld.run_all_checks(make(*args))
@@ -284,17 +285,33 @@ def test_example_smith_form_count(monkeypatch, make, args, calls):
 
 
 @pytest.mark.parametrize("make, args, products",
-                         [(mfld.example_lens, (5,), 25), (mfld.example_hempel, (3, 4), 19)],
+                         [(mfld.example_lens, (5,), 18), (mfld.example_hempel, (3, 4), 12)],
                          ids=CASE_IDS)
 def test_example_product_count(monkeypatch, make, args, products):
-    # a work counter: N starts from 1 + tau, the parts read U^-1 off the
-    # relations' Smith form, a subquotient's denominators ride through
-    # its numerator's elimination, and the Tate groups of a module, valid
-    # by construction, recheck neither the descent of S and N nor their
+    # a work counter: each of the example's three modules takes two
+    # products to move tau into its group's Smith coordinates, where
+    # descent is read off the diagonal with no product, one for S N, and
+    # those of N, which starts from 2 + S; the parts are sliced from the
+    # moved tau and N, a subquotient's denominators ride through its
+    # numerator's elimination, and the Tate groups of a module, valid by
+    # construction, recheck neither the descent of S and N nor their
     # composite
     counts = _count_products(monkeypatch)
     mfld.run_all_checks(make(*args))
     assert counts["products"] == products
+
+
+@pytest.mark.parametrize("make, args", CASES, ids=CASE_IDS)
+def test_parts_take_no_product_and_no_smith_form(monkeypatch, make, args):
+    # a work counter: the parts are blocks of the Smith coordinates h1
+    # keeps, on groups presented by the Smith diagonal
+    h1 = make(*args).h1
+    counters = (_count_products(monkeypatch),
+                _count_calls(monkeypatch, intlinalg, ("snf", "_eliminate")),
+                _count_calls(monkeypatch, cpmod, ("snf",)))
+    tor, free = cpmod.tor_and_free_parts(h1)
+    assert (tor.group.order, free.group.free_rank) == (args[0], h1.group.free_rank)
+    assert [sum(c.values()) for c in counters] == [0, 0, 0]
 
 
 def test_example_matrix_validation_count(monkeypatch):
@@ -313,9 +330,9 @@ def test_example_matrix_validation_count(monkeypatch):
 
 
 def test_module_operations_reuse_the_groups_smith_form(monkeypatch):
-    # tor_and_free_parts presents the torsion by the Smith diagonal, so a
-    # module whose relations are already diagonal would rightly take that
-    # form again
+    # the fixed points are read off one Smith form of their relations, so
+    # a module whose relations are already diagonal could rightly meet
+    # them there
     def in_smith_form(r):
         return r == IntMatrix.diagonal(intlinalg.snf(r).diagonal, rows=r.rows, cols=r.cols)
 

@@ -105,18 +105,19 @@ def test_identity_modulo_the_residue_prime_is_still_tested_exactly():
 
 
 def test_wrong_order_is_rejected_without_forming_the_norm(monkeypatch):
-    # over Z, N for p = 1000003 would have entries of about 10^6 bits; on
-    # (Z/5)^2 the residues modulo the exponent 5 decide, and 2^31 - 1 is
-    # prime to 5
+    # over Z, N for p = 1000003 would have entries of about 10^6 bits, so
+    # on Z^2 the residues decide and N is not formed; on (Z/5)^2 every row
+    # is reduced modulo 5, so N is formed short and the exact test decides
     calls = []
-    monkeypatch.setattr(cpmod, "_norm", lambda *args: calls.append(args))
+    norm = cpmod._norm
+    monkeypatch.setattr(cpmod, "_norm", lambda *args: calls.append(args[2]) or norm(*args))
     tau = IntMatrix.from_rows([[2, 1], [1, 1]])
     for rel in (IntMatrix.zeros(2, 0), IntMatrix.diagonal([5, 5])):
         t0 = time.perf_counter()
         with pytest.raises(TauOrderNotDividingP):
             new_cp_module(1000003, rel, tau)
         assert time.perf_counter() - t0 < 0.1
-    assert calls == []
+    assert calls == [(5, 5)]
 
 
 def _expected_error(p, rel, tau):
@@ -341,9 +342,11 @@ def _assert_revalidates(m):
     # the constructor checks that tau descends and that tau^p = 1, so S
     # and N descend and S N = N S = 0, which is all the Tate layer
     # trusts; rebuilt from its relations and tau, the module must pass
-    # those checks and come back equal, with an equal norm
+    # those checks and come back equal, with equal tau and N in its Smith
+    # coordinates: N's reduced rows have one representative modulo d_i
     again = new_cp_module(m.p, m.group.relations, m.tau)
-    assert again == m and again.norm == m.norm
+    assert again == m
+    assert (again.smith_tau, again.smith_norm) == (m.smith_tau, m.smith_norm)
 
 
 def test_tate_and_fixed_points_match_the_checked_route():
@@ -395,51 +398,119 @@ def test_raw_modules_still_fail_every_check():
     assert type(err.value) is CpModuleError
 
 
+def test_a_wrong_norm_still_fails_the_elementary_check():
+    # Tate dimensions are read modulo p^2, which the groups of a valid
+    # module allow; beside a wrong N, built unchecked, H^0 on Z is Z or
+    # Z/4, each Z/4 modulo 4, and tate names the broken validation
+    z, one = from_invariants((), 1), IntMatrix.identity(1)
+    for norm in (IntMatrix.zeros(1, 1), IntMatrix.from_rows([[4]])):
+        with pytest.raises(CpModuleError, match="validation was broken"):
+            tate(CpModule._of(2, z, one, norm))
+
+
 # -- structural operators ----------------------------------------------------
 
 
+def _row_moduli(m):
+    """Per row of m's Smith coordinates, the modulus it is exact to: d_i
+    below the rank, 0 (exact) beyond."""
+    dec = m.group.smith
+    return dec.diagonal[:dec.rank] + (0,) * (m.ambient_rank - dec.rank)
+
+
+def _assert_congruent(m, a, b):
+    # a = b modulo the relations, in m's Smith coordinates: row i below
+    # the rank modulo d_i, the rows beyond exactly
+    for d, x, y in zip(_row_moduli(m), a.to_rows(), b.to_rows(), strict=True):
+        assert all((s - t) % d == 0 if d else s == t for s, t in zip(x, y, strict=True))
+
+
+def _assert_reduced(m, n):
+    # every entry of a row below the rank lies in [0, d_i)
+    for d, row in zip(_row_moduli(m), n.to_rows()):
+        assert not d or all(0 <= x < d for x in row)
+
+
+def _plain_sum(tau, p):
+    """1 + tau + ... + tau^(p-1), one power at a time."""
+    power = total = IntMatrix.identity(tau.rows)
+    for _ in range(p - 1):
+        power = tau @ power
+        total = total + power
+    return total
+
+
+def _mixed_modules(rng, p):
+    """lens and hempel H_1 for p, torsion and free at once, each in its
+    canonical basis and in two random ones."""
+    out = []
+    for h1 in (example_lens(p).h1, example_hempel(p, 3).h1):
+        out += [h1] + [conjugate(h1, *random_unimodular(rng, h1.ambient_rank)) for _ in range(2)]
+    return out
+
+
 def test_norm_operator_identities():
+    # in the module's Smith coordinates, modulo the relations
+    rng = random.Random(4)
     for p in (2, 3, 5):
-        for m in (free_regular_module(p), augmentation_module(p),
-                  trivial_block(p, p * p), perm_block(p, 4)):
-            n = m.norm
-            tau = m.tau
-            assert tau @ n == n
-            assert n @ tau == n
-            # transfer composed with itself is multiplication by p
-            assert n @ n == p * n
+        for base in (free_regular_module(p), augmentation_module(p),
+                     trivial_block(p, p * p), perm_block(p, 4)):
+            for m in (base, conjugate(base, *random_unimodular(rng, base.ambient_rank))):
+                n, tau = m.smith_norm, m.smith_tau
+                _assert_congruent(m, tau @ n, n)
+                _assert_congruent(m, n @ tau, n)
+                # transfer composed with itself is multiplication by p
+                _assert_congruent(m, n @ n, p * n)
 
 
 def test_norm_is_the_plain_sum():
+    # smith_tau is u tau u^-1, and smith_norm is u N u^-1 modulo the
+    # relations, N the plain sum of the powers of tau, with each row
+    # below the rank reduced and the rows beyond exact
+    rng = random.Random(6)
     lattices = [build(p) for p in PRIMES
                 for build in (free_regular_module, augmentation_module, trivial_free_module)]
-    for m in finite_catalog() + lattices:
-        power = total = IntMatrix.identity(m.ambient_rank)
-        for _ in range(m.p - 1):
-            power = m.tau @ power
-            total = total + power
-        assert m.norm == total
+    mixed = [m for p in PRIMES for m in _mixed_modules(rng, p)]
+    for m in finite_catalog() + lattices + mixed:
+        dec = m.group.smith
+        assert m.smith_tau == dec.u @ m.tau @ dec.u_inv
+        _assert_congruent(m, m.smith_norm, dec.u @ _plain_sum(m.tau, m.p) @ dec.u_inv)
+        _assert_reduced(m, m.smith_norm)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 23])
 def test_norm_by_doubling_is_the_plain_sum(p):
-    # _norm doubles from N_2 = 1 + tau; the identity holds for any square
-    # tau, so it is checked on the catalog's modules and lattices, on lens
-    # and hempel in random bases, and on random matrices
+    # _norm doubles from N_2 = 2 + S; with no row reduced, the identity
+    # holds for any square tau, so it is checked on the catalog's modules
+    # and lattices, on lens and hempel in three bases each, and on random
+    # matrices; with the rows below a module's rank reduced, it holds
+    # modulo the relations for that module's tau in its Smith coordinates
     rng = random.Random(p)
-    taus = [m.tau for m in finite_catalog()]
-    for build in (free_regular_module, augmentation_module, trivial_free_module):
-        taus.append(build(p).tau)
-    for h1 in (example_lens(p).h1, example_hempel(p, 3).h1):
-        taus += [conjugate(h1, *random_unimodular(rng, h1.ambient_rank)).tau for _ in range(3)]
+    mods = finite_catalog() + [build(p) for build in (
+        free_regular_module, augmentation_module, trivial_free_module)] + _mixed_modules(rng, p)
+    taus = [m.tau for m in mods]
     taus += [IntMatrix(m, m, tuple(rng.randint(-2, 2) for _ in range(m * m)))
              for m in (0, 1, 2, 5)]
     for tau in taus:
-        power = total = IntMatrix.identity(tau.rows)
-        for _ in range(p - 1):
-            power = tau @ power
-            total = total + power
-        assert cpmod._norm(tau, p) == total
+        assert cpmod._norm(tau, p, ()) == _plain_sum(tau, p)
+    for m in mods:
+        dec = m.group.smith
+        n = cpmod._norm(m.smith_tau, p, dec.diagonal[:dec.rank])
+        _assert_congruent(m, n, _plain_sum(m.smith_tau, p))
+        _assert_reduced(m, n)
+
+
+def test_norm_of_a_finite_module_with_long_entries_stays_short():
+    # tau = 1 + n J on (Z/n)^8, J all ones, acts trivially; for n = q
+    # its N over Z would have entries of about 831,000 bits, but each row
+    # of N is reduced modulo n as it is formed. q = 2 modulo 251
+    q, m = 10**1000 + 1, 8
+    ones = IntMatrix(m, m, (1,) * (m * m))
+    for n, dims in ((q, (0, 0)), (251 * q, (8, 8))):
+        mod = new_cp_module(251, n * IntMatrix.identity(m), IntMatrix.identity(m) + n * ones)
+        assert (tate(mod).dim_h0, tate(mod).dim_h1) == dims
+        assert mod.group.smith.rank == m
+        _assert_reduced(mod, mod.smith_norm)
 
 
 def _assert_parts_validate(m):
