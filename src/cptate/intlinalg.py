@@ -256,8 +256,11 @@ class SmithDecomposition:
     source: IntMatrix
 
 
-def _find_pivot(s, t, m, n):
-    # smallest nonzero |entry| in the block [t:, t:], first in row-major order
+def _find_pivot(s, t, m, n, floor):
+    """(i, j) of the smallest nonzero |entry| of the block [t:, t:n],
+    first in row-major order, or None for a zero block. Every entry of the
+    block is a multiple of floor, so the first one of that size ends the
+    scan: no later entry can be smaller."""
     best = None
     for i in range(t, m):
         row = s[i]
@@ -266,8 +269,8 @@ def _find_pivot(s, t, m, n):
             if x != 0:
                 if best is None or abs(x) < best[0]:
                     best = (abs(x), i, j)
-                    if best[0] == 1:
-                        return best[1], best[2]
+                    if best[0] == floor:
+                        return i, j
     return None if best is None else (best[1], best[2])
 
 
@@ -293,10 +296,16 @@ def _eliminate(s, n, w=None, z=None) -> int:
     z = (U^-1)^T. The pivots depend on the first n columns alone, so what
     rides along changes neither them nor the diagonal. At the end the
     block is diagonal, nonnegative, with each entry dividing the next.
+
+    A finished pivot divides every entry of the block after it, and row
+    and column operations keep that, so it is a floor for the pivots that
+    follow: _find_pivot stops at the first entry of its size, and a pivot
+    equal to it needs no divisibility scan. The floor starts at 1, which
+    every entry is a multiple of; it changes no pivot and no operation.
     """
-    m = len(s)
+    m, floor = len(s), 1
     for t in range(min(m, n)):
-        piv = _find_pivot(s, t, m, n)
+        piv = _find_pivot(s, t, m, n, floor)
         if piv is None:
             return t
         i, j = piv
@@ -339,9 +348,9 @@ def _eliminate(s, n, w=None, z=None) -> int:
             if j != t:
                 continue
             # row and column clear; the pivot must divide the rest of the
-            # block, which a unit pivot does. Folding a row it does not
-            # divide into row t shrinks it to a gcd on the next pass.
-            if d == 1:
+            # block, which a pivot equal to the floor does. Folding a row it
+            # does not divide into row t shrinks it to a gcd on the next pass.
+            if d == floor:
                 break
             rest = d.__rmod__
             bad = next((k for k in range(t + 1, m) if any(map(rest, s[k][t + 1:n]))), None)
@@ -350,6 +359,7 @@ def _eliminate(s, n, w=None, z=None) -> int:
             s[t] = [x + y for x, y in zip(row, s[bad])]
             if z:
                 z[bad] = [x - y for x, y in zip(z[bad], z[t])]
+        floor = d
     return min(m, n)
 
 

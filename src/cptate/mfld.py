@@ -15,6 +15,7 @@ construction, not computed from topology.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .cpmod import (
     CpModule,
@@ -55,14 +56,31 @@ class ManifoldExample:
             raise ValueError("branch count must be >= 0")
         # h1 is valid by construction, so its torsion and free parts are
         # cut from it unchecked. Only the Tate groups the checks read are
-        # formed
+        # formed, and each part's are shared by the examples it recurs in
         tor, free = tor_and_free_parts(self.h1)
-        dim_h0_tor, tor_fixed = h0_and_fixed_points(tor)
+        dim_h0_tor, tor_fixed = _torsion_cohomology(tor)
         object.__setattr__(self, "dim_h0_h1", tate_dim(self.h1, 0))
         object.__setattr__(self, "dim_h0_tor", dim_h0_tor)
-        object.__setattr__(self, "dim_h1_free", tate_dim(free, 1))
-        object.__setattr__(self, "tor_fixed", tor_fixed.invariant_factors)
+        object.__setattr__(self, "dim_h1_free", _free_h1_dim(free))
+        object.__setattr__(self, "tor_fixed", tor_fixed)
         object.__setattr__(self, "free_rank", free.group.free_rank)
+
+
+@lru_cache(maxsize=1024)
+def _torsion_cohomology(tor: CpModule) -> tuple:
+    """(dim H^0, fixed invariant factors) of a torsion part, keyed on the
+    part: modules are equal when p, tau and the relations are, and a
+    part's relations are its Smith diagonal, so the parts cut from many
+    examples and bases coincide (one Z/p per prime in the lens and hempel
+    families)."""
+    dim_h0, fixed = h0_and_fixed_points(tor)
+    return dim_h0, fixed.invariant_factors
+
+
+@lru_cache(maxsize=1024)
+def _free_h1_dim(free: CpModule) -> int:
+    """dim H^1 of a free part, keyed on the part as _torsion_cohomology is."""
+    return tate_dim(free, 1)
 
 
 # -- example constructors ----------------------------------------------------

@@ -827,6 +827,10 @@ class SplittingDensity:
 
 
 def splitting_density(d: int, prime_bound: int) -> SplittingDensity:
+    """How the primes q <= prime_bound decompose in Q(sqrt(d)); a bound
+    below 2 has no primes, so no fraction, and is refused."""
+    if prime_bound < 2:
+        raise ValueError(f"prime_bound must be >= 2, got {prime_bound}")
     quadratic_field(d)
     counts = {SPLIT: 0, INERT: 0, RAMIFIED: 0}
     ps = primes_upto(prime_bound)

@@ -4,12 +4,13 @@ class module by the isomorphism type of its 2-primary part, and of their
 unit module by sign."""
 
 import math
+import random
 from collections import Counter
 from dataclasses import fields, replace
 
 import pytest
 
-from catalog import finite_catalog
+from catalog import conjugate, finite_catalog, random_unimodular
 from cptate import IntMatrix, cpmod, intlinalg, mfld, numfield
 
 CASES = [(mfld.example_lens, (5,)), (mfld.example_hempel, (3, 4))]
@@ -211,6 +212,7 @@ def test_field_report_factors_d_a_bounded_number_of_times(monkeypatch, d):
 
 @pytest.mark.parametrize("make, args", CASES, ids=CASE_IDS)
 def test_example_checks_compute_cohomology_once(monkeypatch, make, args):
+    _clear_caches()
     counts = _count_calls(monkeypatch, mfld, ("tate_dim", "h0_and_fixed_points",
                                               "tor_and_free_parts"))
     mfld.run_all_checks(make(*args))
@@ -221,6 +223,49 @@ def test_example_checks_compute_cohomology_once(monkeypatch, make, args):
     # tor_and_free_parts is the one entry to the parts: no wrapper for
     # either part alone is left in cpmod for mfld to call
     assert not hasattr(cpmod, "tor_module") and not hasattr(cpmod, "free_module")
+
+
+def _derived(e):
+    return {f.name: getattr(e, f.name) for f in fields(e) if not f.init}
+
+
+def test_examples_share_the_cohomology_of_their_parts(monkeypatch):
+    # a work counter: lens(p) and hempel(p, n), n <= 4, in their own basis
+    # and a scrambled one. Every torsion part is Z/p on its Smith diagonal,
+    # so its H^0 and fixed points are formed once per p; a free part's H^1
+    # is formed once per distinct part (hempel's trivial Z^n is the same
+    # part in every basis), and each example's record is the one it gets
+    # from cold caches
+    _clear_caches()
+    calls = Counter()
+    h0_and_fixed_points, tate_dim = mfld.h0_and_fixed_points, mfld.tate_dim
+
+    def counted_h0(module):
+        calls["h0_and_fixed_points", module.p] += 1
+        return h0_and_fixed_points(module)
+
+    def counted_tate(module, q):
+        calls["tate_dim", q] += 1
+        return tate_dim(module, q)
+
+    monkeypatch.setattr(mfld, "h0_and_fixed_points", counted_h0)
+    monkeypatch.setattr(mfld, "tate_dim", counted_tate)
+    rng = random.Random(29)
+    primes = (2, 3, 5, 7)
+    examples = []
+    for p in primes:
+        for e in [mfld.example_lens(p)] + [mfld.example_hempel(p, n) for n in range(1, 5)]:
+            m = e.h1.ambient_rank
+            moved = conjugate(e.h1, *random_unimodular(rng, m, 3 * m))
+            examples += [e, replace(e, h1=moved)]
+    free_parts = {cpmod.tor_and_free_parts(e.h1)[1] for e in examples}
+    assert len(free_parts) < len(examples)
+    assert calls == {**{("h0_and_fixed_points", p): 1 for p in primes},
+                     ("tate_dim", 0): len(examples), ("tate_dim", 1): len(free_parts)}
+    for e in examples:
+        shared = _derived(e)
+        _clear_caches()
+        assert _derived(replace(e, h1=e.h1)) == shared
 
 
 @pytest.mark.parametrize("make, args", CASES, ids=CASE_IDS)
@@ -279,6 +324,7 @@ def test_example_smith_form_count(monkeypatch, make, args, calls):
     # the parts' groups are presented by the Smith diagonal, which is its
     # own Smith form; and lens's trivial Z/p summand is validated on the
     # group it is given, with no second Smith form of its relations
+    _clear_caches()
     counts = _count_smith_forms(monkeypatch)
     mfld.run_all_checks(make(*args))
     assert counts["_eliminate"] == calls
@@ -296,6 +342,7 @@ def test_example_product_count(monkeypatch, make, args, products):
     # numerator's elimination, and the Tate groups of a module, valid by
     # construction, recheck neither the descent of S and N nor their
     # composite
+    _clear_caches()
     counts = _count_products(monkeypatch)
     mfld.run_all_checks(make(*args))
     assert counts["products"] == products
@@ -317,6 +364,7 @@ def test_parts_take_no_product_and_no_smith_form(monkeypatch, make, args):
 def test_example_matrix_validation_count(monkeypatch):
     # a work counter: matrices derived from checked ones skip the per-entry
     # checks; the 4 left are the example's own relations and tau
+    _clear_caches()
     calls = Counter()
     check = IntMatrix.__post_init__
 

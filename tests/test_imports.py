@@ -133,3 +133,62 @@ def test_all_lists_exactly_the_imported_names_in_order():
     assert cptate.__all__ == sorted(imported)
     for name in cptate.__all__:
         getattr(cptate, name)
+
+
+MEMO_MODULES = ("intlinalg", "cpmod", "numfield", "mfld")
+
+
+def _is_memo(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id in ("lru_cache", "cache")
+            or isinstance(node, ast.Attribute) and node.attr in ("lru_cache", "cache"))
+
+
+def memo_caches(sources: dict) -> tuple:
+    """(cached, misplaced) for sources, a {module: source} mapping: the
+    module:name of each top-level function that lru_cache or cache
+    decorates in one of MEMO_MODULES, and the module:line of every other
+    use of either name, its import aside."""
+    cached, misplaced = [], []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        placed = set()
+        for node in tree.body if module in MEMO_MODULES else ():
+            if isinstance(node, ast.FunctionDef):
+                for dec in node.decorator_list:
+                    target = dec.func if isinstance(dec, ast.Call) else dec
+                    if _is_memo(target):
+                        cached.append(f"{module}:{node.name}")
+                        placed.add(target)
+        misplaced += [f"{module}:{n.lineno}" for n in ast.walk(tree)
+                      if _is_memo(n) and n not in placed]
+    return sorted(cached), sorted(misplaced)
+
+
+def test_memo_detector_flags_only_misplaced_caches():
+    sources = {"mfld": ("from functools import cache, lru_cache\nimport functools\n"
+                        "@lru_cache(maxsize=8)\ndef f(x):\n    return x\n"
+                        "@functools.cache\ndef g(x):\n    return x\n"
+                        "class A:\n    @cache\n    def h(self):\n        pass\n"
+                        "def k():\n    return lru_cache(1)(k)\n"),
+               "cli": "from functools import cache\n@cache\ndef f():\n    pass\n"}
+    assert memo_caches(sources) == (["mfld:f", "mfld:g"], ["cli:2", "mfld:10", "mfld:14"])
+
+
+def test_every_memo_is_module_level_and_cleared_by_the_tests(monkeypatch):
+    # perfbench's passes and the tests' work counters start cold only if
+    # emptying the caches of these four modules empties every cache
+    import importlib
+
+    from test_compute_once import _clear_caches
+
+    cached, misplaced = memo_caches(
+        {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))})
+    assert misplaced == []
+    assert "mfld:_torsion_cohomology" in cached and "numfield:_class_data" in cached
+    cleared = []
+    for entry in cached:
+        module, name = entry.split(":")
+        memo = getattr(importlib.import_module(f"cptate.{module}"), name)
+        monkeypatch.setattr(memo, "cache_clear", lambda entry=entry: cleared.append(entry))
+    _clear_caches()
+    assert sorted(cleared) == cached

@@ -367,6 +367,44 @@ def test_snf_of_long_entries():
         assert check_snf_contract(moved).diagonal == (1 << 100, 3 ** 70 << 100, 0)
 
 
+REPEATED_FACTORS = [(2,) * 3, (3,) * 5, (23,) * 16, (2, 2, 4, 4, 12), (1, 6, 6, 0, 0)]
+
+
+@pytest.mark.parametrize("diagonal", REPEATED_FACTORS, ids=str)
+def test_snf_of_repeated_factor_diagonals(diagonal):
+    # a finished pivot is a floor for the next ones: on these diagonals a
+    # later pivot equals it, in the given basis and in random ones, so the
+    # scan for it stops early and its divisibility scan is skipped
+    rng = random.Random(len(diagonal))
+    n = len(diagonal)
+    d = IntMatrix.diagonal(diagonal)
+    factors = tuple(x for x in diagonal if x > 1)
+    for k in range(6):
+        a = d if k == 0 else (random_unimodular(rng, n, 3 * n)[0] @ d
+                              @ random_unimodular(rng, n, 3 * n)[0])
+        assert check_snf_contract(a).diagonal == tuple(sorted(diagonal, key=lambda x: (x == 0, x)))
+        assert intlinalg._invariants(a.to_rows(), n) == (factors, diagonal.count(0))
+
+
+def test_each_pivot_scan_starts_from_the_previous_pivot(monkeypatch):
+    # a work counter: on 23 I_16, in any basis, the first pivot is 23 and
+    # every later scan is given it as its floor, so it stops at the first
+    # entry of 23
+    rng = random.Random(16)
+    d = IntMatrix.diagonal([23] * 16)
+    find = intlinalg._find_pivot
+    for a in (d, random_unimodular(rng, 16, 48)[0] @ d @ random_unimodular(rng, 16, 48)[0]):
+        floors = []
+
+        def recorded(s, t, m, n, floor):
+            floors.append(floor)
+            return find(s, t, m, n, floor)
+
+        monkeypatch.setattr(intlinalg, "_find_pivot", recorded)
+        assert intlinalg._invariants(a.to_rows(), 16) == ((23,) * 16, 0)
+        assert floors == [1] + [23] * 15
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 23])
 def test_snf_of_manifold_presentations_in_random_bases(p):
     # the matrices the module and the Tate layer eliminate: the relations,

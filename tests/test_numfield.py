@@ -814,6 +814,14 @@ def test_splitting_counts_are_exhaustive():
         s = splitting_density(d, 500)
         assert s.split + s.inert + s.ramified == s.total == len(primes_upto(500))
         assert s.ramified == ramification(d).s0
+    assert splitting_density(10, 2).total == 1
+
+
+@pytest.mark.parametrize("bound", [1, 0, -7])
+def test_splitting_density_refuses_a_bound_with_no_primes(bound):
+    # with no prime to count, the split fraction would be 0/0
+    with pytest.raises(ValueError, match=f"prime_bound must be >= 2, got {bound}"):
+        splitting_density(10, bound)
 
 
 # -- cyclic cubic records -----------------------------------------------------------
