@@ -8,23 +8,32 @@ p <= sqrt(|D|/3) for d < 0, p <= isqrt(D)/2 for d > 0, the latter with
 (-1, b0, *); no list of all reduced forms is made. b_p comes from
 Tonelli-Shanks until p has been looked up p/32 times, and after that from
 a table of square roots modulo p (p below 2^12), built once and shared by
-the fields that follow; for d > 0 each prime form is given the b_p just
-below sqrt(D), which makes it reduced. The structure comes from one
-relation lattice on the generators' classes, k rows of k entries, whose
-invariant factors one _eliminate of the rows reads off the diagonal, with
-no matrix built. The lattice codes each class's coordinates as one int in
+the fields that follow. The structure comes from the square subgroup 2G
+of the group G and G's 2-rank r. 2G is generated by the squares of G's
+generators, and the ramified prime forms and (-1, b0, *) are their own
+inverses, so one relation lattice on the classes of the squares of the
+split prime forms, each squared with one modular inverse, gives 2G,
+with h/2^r classes: k rows of k entries, whose invariant factors one
+_eliminate of the rows reads off the diagonal, with no matrix built. The
+lattice codes each class's coordinates as one int in
 a base of width 2|D|, over twice the class number, and composes one class
 of each inverse pair and takes the other as the class of (c, b, a): for
 d < 0 in closed form, for d > 0 by a lookup, since one walk of a cycle,
 on int keys a M + b, labels the inverse class's cycle too, and a cycle
-that is its own mirror is walked halfway, between its two axes. The wide
-class group is the narrow group modulo the class of (-1, b0, *): a copy
-of the rows with that class's coordinates as one more column. The class
-module's cohomology is shared by fields whose class groups have one
-2-primary part. The unit's norm is read off the record: it is -1 exactly
-when the narrow and wide class numbers agree. Fundamental units
-themselves come from the continued fraction of sqrt(d) through the Pell
-equation u^2 - d v^2 = +-4. Everything is exact.
+that is its own mirror is walked halfway, between its two axes. r is
+counted, not assumed, so genus theory stays a check: 2^r classes equal
+their inverse, and they are counted from the <= 2 candidate forms per
+signed divisor of D. G's invariant factors are 2G's with the last r
+doubled. For d > 0 the wide class group is the narrow group modulo j,
+the class of (-1, b0, *): j lies in 2G exactly when its cycle was
+labelled, and then the wide square subgroup is 2G modulo j, a copy of the
+rows with j's coordinates as one more column, with 2-rank r; otherwise it
+is 2G, with 2-rank r - 1. The class module's cohomology is shared by
+fields whose class groups have one 2-primary part. The unit's norm is
+read off the record: it is -1 exactly when the narrow and wide class
+numbers agree. Fundamental units themselves come from the continued
+fraction of sqrt(d) through the Pell equation u^2 - d v^2 = +-4.
+Everything is exact.
 """
 
 from __future__ import annotations
@@ -419,16 +428,9 @@ def _prime_forms(D: int, bound: int) -> list:
     a table at most what Tonelli-Shanks spent on p before it (p at or
     above _SQRT_TABLE_CAP always takes Tonelli-Shanks). An odd p dividing
     D takes p (D mod 2). At 2: b_2 = 1 when D = 1 (mod 8), none when
-    D = 5 (mod 8), and for D = 4d' b_2 = 2 (d' mod 2).
-
-    For D > 0, b_p is then moved by a multiple of 2p, which keeps the
-    class, to the b' = b_p (mod 2p) with sq - 2p < b' <= sq, sq = isqrt(D).
-    When 2p <= sq the form is reduced: 0 < b' < sqrt(D), 2p + b' > sq, and
-    2p - b' < 4p - sq <= sq. So _class_data's bound isqrt(D)/2 hands every
-    generator to the cycle walk with no reduction step."""
+    D = 5 (mod 8), and for D = 4d' b_2 = 2 (d' mod 2)."""
     forms = []
     primes = _primes_below_power_of_two(bound.bit_length())
-    sq = isqrt(D) if D > 0 else None
     for p in primes[:bisect_right(primes, bound)]:
         if p == 2:
             if D % 8 == 5:
@@ -450,8 +452,6 @@ def _prime_forms(D: int, bound: int) -> list:
                 continue
             if (b - D) % 2:
                 b = p - b
-        if sq is not None:
-            b = sq - (sq - b) % (2 * p)
         forms.append((p, b, (b * b - D) // (4 * p)))
     return forms
 
@@ -523,6 +523,80 @@ def _decode(code, width, k):
 # -- class groups -----------------------------------------------------------
 
 
+def _square_form(f, D):
+    """The square of the prime form f = (p, b, c) with p prime to D, as
+    (p^2, b + 2 p k, *) with k = -c b^-1 (mod p): that b' = b (mod 2p)
+    is the one class of b' modulo 2p^2 with b'^2 = D (mod 4p^2), since
+    b'^2 - D = 4p(c + k b) + 4p^2 k^2, and b is prime to p."""
+    p, b, c = f
+    b += 2 * p * (-c * pow(b, -1, p) % p)
+    a = p * p
+    return (a, b, (b * b - D) // (4 * a))
+
+
+def _divisors(n: int, primes) -> list:
+    """The positive divisors of n, whose prime factors are primes."""
+    out = [1]
+    for p in primes:
+        k = len(out)
+        while n % p == 0:
+            n //= p
+            out += [x * p for x in out[-k:]]
+    return out
+
+
+def _two_rank(D: int, primes) -> int:
+    """r with 2^r = |Cl[2]| for D < 0 and |Cl+[2]| for D > 0, the classes
+    equal to their inverse, counted from the <= 2 candidates per signed
+    divisor of D; primes are D's prime factors.
+
+    D < 0: the class of a reduced (a, b, c) is its own inverse exactly
+    when (a, -b, c) is not reduced (see _definite_inverse): b = 0, b = a
+    or a = c. For each a | D the forms (a, b, c) with b in {0, a} are
+    those reduced ones when a <= c; when c < a < 2c, (a, a, c) ~
+    (c, -a, a) ~ (c, 2c - a, c) is reduced, and each reduced (e, b, e)
+    with 0 < b < e arises so once, from a = 2e - b.
+    D > 0: the class is its own inverse exactly when its cycle is its own
+    mirror (see _walk_cycle), and such a cycle has exactly two axes, the
+    reduced forms with rho(a, b, c) = (c, b, a), that is |c| divides b. So
+    c | D, and b is one of the two multiples of |c| in the window
+    isqrt(D) - 2|c| < b <= isqrt(D) that reduced forms keep.
+
+    Raises ArithmeticError when the count is not a power of two."""
+    count = 0
+    if D < 0:
+        for a in _divisors(-D, primes):
+            for b in (0, a):
+                if (b - D) % 2 == 0 and (b * b - D) % (4 * a) == 0:
+                    c = (b * b - D) // (4 * a)
+                    count += a <= c or (b == a and a < 2 * c)
+    else:
+        sq = isqrt(D)
+        for m in _divisors(D, primes):
+            top = sq - sq % m
+            for c in (m, -m):
+                for b in (top, top - m):
+                    count += (b > 0 and (b - D) % 2 == 0 and (b * b - D) % (4 * c) == 0
+                              and _is_reduced_indefinite(((b * b - D) // (4 * c), b, c), D))
+        count //= 2
+    r = count.bit_length() - 1
+    if count != 1 << r:
+        raise ArithmeticError(f"D = {D}: {count} classes of order <= 2, not a power of two")
+    return r
+
+
+def _lift_invariants(halved: tuple, r: int) -> tuple:
+    """The invariant factors of a finite abelian group A from those of 2A
+    and A's 2-rank r. The even factors of A are its last r, and 2A halves
+    exactly those; a factor 2 halves to 1 and drops out, which happens
+    only when every factor is even, since an odd factor >= 3 divides the
+    next. So 2A's chain, padded with leading 1s to length >= r, gives A
+    by doubling its last r entries."""
+    chain = [1] * (r - len(halved)) + list(halved)
+    k = len(chain) - r
+    return tuple(chain[:k] + [2 * n for n in chain[k:]])
+
+
 @dataclass(frozen=True)
 class ClassData:
     d: int
@@ -578,8 +652,9 @@ def _class_record(d, D, inv, h, narrow_inv) -> ClassData:
 @lru_cache(maxsize=1024)
 def _class_data(d: int) -> ClassData:
     """The field's record. The class group (d < 0) or the narrow class
-    group (d > 0) is the cokernel of one relation lattice on the classes
-    of prime forms, which generate it:
+    group (d > 0), G, comes from its square subgroup 2G and its 2-rank r,
+    and 2G is the cokernel of one relation lattice on the classes of the
+    squares of the split prime forms, which generate it:
 
     d < 0: every class has a reduced form with a <= sqrt(|D|/3), and that
     form is a product of the prime forms (p, +-b_p, *) with p | a.
@@ -587,6 +662,17 @@ def _class_data(d: int) -> ClassData:
     |ac| < D/4 and c is the first coefficient of the next form; and for
     a < 0, (a, b, c) = (-1, b0, *)(-a, b, -c). So the prime forms with
     p <= isqrt(D)/2 and (-1, b0, *) generate the narrow group.
+
+    2G is generated by the squares of G's generators, and those of order
+    <= 2 drop out: a ramified prime form (p | b_p) and (-1, b0, *) are
+    each equivalent to their inverse (a, -b, c). _square_form squares a
+    split prime form with one modular inverse. The lattice enumerates
+    only 2G, h/2^r classes, and for d > 0 walks only 2G's cycles.
+
+    r is counted, not assumed: _two_rank counts the classes of order
+    <= 2, 2^r = |G[2]| = |G/2G| of them, from the divisors of D, so genus
+    theory stays a check on the record. _lift_invariants gives G back
+    from 2G and r.
 
     cls_of names a form's class: its reduced form for d < 0, and for d > 0
     the least form on its cycle. The inverse of a class is the class of
@@ -600,10 +686,16 @@ def _class_data(d: int) -> ClassData:
     lattice, by |D|: for d < 0 the pairs |b| <= a <= A = isqrt(|D|/3),
     b = D (mod 2), number at most A(A + 3)/2 <= 2A^2 < |D|; for d > 0 the
     pairs 0 < |a| < sqrt(D)/2, 0 < b < sqrt(D), b = D (mod 2), number at
-    most sqrt(D)(sqrt(D) + 1)/2 < D. Hence the lattice width 2|D|. The wide
-    group is the narrow group modulo the class of (-1, b0, *), the last
-    generator's: its coordinates are one more column on a copy of the rows,
-    as _invariants consumes them. The groups are finite, and only their
+    most sqrt(D)(sqrt(D) + 1)/2 < D. Hence the lattice width 2|D|.
+
+    The wide group is the narrow group G modulo j, the class of
+    (-1, b0, *), and 2(G/<j>) = (2G + <j>)/<j>. Only 2G's cycles are
+    labelled, so j lies in 2G exactly when its reduced form's key is
+    labelled, with no walk. Then the wide square subgroup is 2G modulo j,
+    j's coordinates as one more column on a copy of the rows, as
+    _invariants consumes them, and the wide 2-rank is r, since
+    G/(2G + <j>) = G/2G. Otherwise the wide square subgroup is 2G itself,
+    and j != 1 takes one 2 off r. The groups are finite, and only their
     invariant factors are read."""
     D = quadratic_field(d).discriminant
     width = 2 * abs(D)
@@ -618,7 +710,7 @@ def _class_data(d: int) -> ClassData:
         sq = isqrt(D)
         M = sq + 1
         b0 = D & 1
-        gens = _prime_forms(D, sq // 2) + [(-1, b0, (D - b0 * b0) // 4)]
+        gens = _prime_forms(D, sq // 2)
         cycle_of = {}
 
         def label(keys):
@@ -644,14 +736,25 @@ def _class_data(d: int) -> ClassData:
         return cls_of(_compose_raw(x, y, D))
 
     ident = cls_of(_principal_form(D))
-    classes = [cls_of(f) for f in gens]
-    coords, rows = _relation_lattice(classes, op, inv, ident, width)
+    squares = [cls_of(_square_form(f, D)) for f in gens if D % f[0]]
+    coords, rows = _relation_lattice(squares, op, inv, ident, width)
+    r = _two_rank(D, ramification(d).finite_ramified)
     if d < 0:
-        narrow, _ = _invariants(rows, len(rows))
+        halved, _ = _invariants(rows, len(rows))
+        narrow = _lift_invariants(halved, r)
         return _class_record(d, D, narrow, prod(narrow), None)
-    column = _decode(coords[classes[-1]], width, len(rows))
-    wide, _ = _invariants([r + [c] for r, c in zip(rows, column)], len(rows) + 1)
-    narrow, _ = _invariants(rows, len(rows))
+    j = _indefinite_reduce((-1, b0, (D - b0 * b0) // 4), D, sq)
+    j_key = j[0] * M + j[1]
+    j_is_square = j_key in cycle_of
+    if j_is_square:
+        column = _decode(coords[cycle_of[j_key]], width, len(rows))
+        wide_halved, _ = _invariants([row + [c] for row, c in zip(rows, column)],
+                                     len(rows) + 1)
+    halved, _ = _invariants(rows, len(rows))
+    if not j_is_square:
+        wide_halved = halved
+    narrow = _lift_invariants(halved, r)
+    wide = _lift_invariants(wide_halved, r if j_is_square else r - 1)
     return _class_record(d, D, wide, prod(wide), narrow)
 
 

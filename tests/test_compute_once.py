@@ -81,22 +81,24 @@ def test_fields_share_cohomology_by_the_2_primary_part(monkeypatch, steps):
 
 
 def test_class_group_composes_once_per_inverse_pair(monkeypatch):
-    # a work counter: Cl = Z/2 x Z/516; the lattice composes one class of
-    # each inverse pair, never with the principal form, and takes the
-    # other by inversion
+    # a work counter: Cl = Z/2 x Z/516, so 2Cl = Z/258 and the lattice on
+    # the squared prime forms enumerates 258 classes; it composes one
+    # class of each inverse pair, never with the principal form, takes
+    # the other by inversion, and squares a prime form with no composition
     counts = _count_calls(monkeypatch, numfield, ("_compose_raw",))
     data = numfield._class_data.__wrapped__(-1000001)
     assert data.invariants == (2, 516)
-    assert counts["_compose_raw"] == 517
+    assert counts["_compose_raw"] == 129
 
 
 def test_narrow_class_group_walks_one_cycle_per_inverse_pair(monkeypatch):
-    # a work counter: h+ = 94; walking a cycle also labels its mirror, the
+    # a work counter: h+ = 94, and only the 47 cycles of the square
+    # subgroup are walked; walking a cycle also labels its mirror, the
     # cycle of the inverse class, so a class and its inverse cost one walk,
     # and a cycle that is its own mirror is walked halfway. A walk takes a
-    # step per form it visits and one more on such a cycle; the 128 rho
-    # steps reduce composites and, once, (-1, b0, *), as every prime form
-    # starts out reduced
+    # step per form it visits and one more on such a cycle; the 157 rho
+    # steps reduce the 39 squared prime forms, the composites and, once,
+    # (-1, b0, *)
     steps = Counter()
     walk = numfield._walk_cycle
 
@@ -109,8 +111,8 @@ def test_narrow_class_group_walks_one_cycle_per_inverse_pair(monkeypatch):
     counts = _count_calls(monkeypatch, numfield, ("_rho",))
     data = numfield._class_data.__wrapped__(1000001)
     assert data.narrow_invariants == (94,)
-    assert steps["walk"] == 568
-    assert counts["_rho"] == 128
+    assert steps["walk"] == 278
+    assert counts["_rho"] == 157
 
 
 @pytest.mark.parametrize("d, eliminations", [(-1000001, 1), (1000001, 2)])

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import math
 import random
@@ -41,6 +43,7 @@ from cptate.numfield import (
     _definite_inverse,
     _definite_reduce,
     _indefinite_reduce,
+    _lift_invariants,
     _prime_forms,
     _principal_form,
     _relation_lattice,
@@ -257,6 +260,28 @@ def test_class_numbers_against_sieved_dirichlet_near_a_million():
     assert len(ts) == 4
     for t in ts:
         assert class_number(-t) == sieved_dirichlet_h(-t), f"d = {-t}"
+
+
+def _fields_beside(scale):
+    """The five square-free t just below scale and the five just above,
+    with both signs."""
+    below = [t for t in range(scale - 1, scale - 40, -1) if is_squarefree(t)][:5]
+    above = [t for t in range(scale + 1, scale + 40) if is_squarefree(t)][:5]
+    return [s * t for t in below + above for s in (1, -1)]
+
+
+def test_class_records_beside_a_million_and_ten_million_are_pinned():
+    # every field of the record, for the 40 fields beside 10^6 and 10^7,
+    # against a digest taken when the whole class group was enumerated
+    # (not only its square subgroup); the |d| <= 5000 sweep reference
+    # reaches none of them
+    ds = _fields_beside(10**6) + _fields_beside(10**7)
+    assert len(ds) == 40
+    digest = hashlib.sha256()
+    for d in ds:
+        digest.update(repr(dataclasses.astuple(_class_data(d))).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "e0407a30a132b8d2bfc7ee2e315aa15f1fc2e355b60642117827da2e6207f397")
 
 
 def test_class_group_module_is_inversion():
@@ -490,6 +515,38 @@ def test_relation_lattice_on_abstract_abelian_groups():
                 assert in_lattice(rel, diff), (moduli, x, y)
     assert 2 in diagonals and 4 in diagonals and {3, 5, 7} <= diagonals
     assert least == -997
+
+
+def test_lifting_invariants_from_the_square_subgroup():
+    # every abelian group A of order <= 512: the invariant factors of 2A
+    # (each n_i / gcd(n_i, 2), normalised by a Smith form) and A's 2-rank
+    # give A back; one chain per group, as counted for order <= 64 above
+    chains = list(_invariant_chains(512))
+    assert len(chains) == 1060
+    for chain in chains:
+        halved = [n // math.gcd(n, 2) for n in chain]
+        rel = IntMatrix.diagonal(halved, rows=len(chain), cols=len(chain))
+        r = sum(1 for n in chain if n % 2 == 0)
+        assert _lift_invariants(cokernel(rel).invariant_factors, r) == chain, chain
+
+
+@pytest.mark.parametrize("d, narrow, wide, j_is_a_square", [
+    (34, (4,), (2,), True), (410, (2, 4), (2, 2), True),
+    (3, (2,), (), False), (219, (2, 4), (4,), False),
+])
+def test_wide_class_group_from_where_j_lies(d, narrow, wide, j_is_a_square):
+    # the wide group is Cl+ modulo j, the class of (-1, b0, *). When j is
+    # a square (d = 34 and 410, j of order 2 in Z/4), the wide group keeps
+    # Cl+'s 2-rank; when it is not, it has one 2 fewer. Whether j is a
+    # square is read off the oracle's cycles
+    D = quadratic_field(d).discriminant
+    classes, op, _, e = narrow_class_group(D)
+    sq = math.isqrt(D)
+    label = {f: min(cycle) for cycle in oracle_cycles(D) for f in cycle}
+    j = label[_indefinite_reduce((-1, D & 1, (D - (D & 1)) // 4), D, sq)]
+    assert (j in {op(x, x) for x in classes}) == j_is_a_square
+    data = _class_data(d)
+    assert (data.narrow_invariants, data.invariants) == (narrow, wide)
 
 
 def _xgcd(a, b):

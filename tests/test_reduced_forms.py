@@ -9,7 +9,6 @@ import math
 from cptate.numfield import (
     _SQRT_TABLE_CAP,
     _class_data,
-    _is_reduced_indefinite,
     _prime_forms,
     _sqrt_mod_prime,
     _sqrt_table,
@@ -136,8 +135,6 @@ def _table_root(D, p):
 
 
 def test_prime_forms_are_the_split_and_ramified_primes():
-    # for d > 0 every form is moved within its class to the b just below
-    # sqrt(D), and is reduced once 2p <= isqrt(D), so at bound isqrt(D)//2
     for d in _fields(range(1, 400)) + _fields(range(10**5, 10**5 + 8)):
         D = quadratic_field(d).discriminant
         sq = math.isqrt(abs(D))
@@ -147,9 +144,7 @@ def test_prime_forms_are_the_split_and_ramified_primes():
                 p for p in primes_upto(bound) if kronecker(D, p) != -1], (d, bound)
             for p, b, c in forms:
                 assert b * b - 4 * p * c == D, (d, p, b, c)
-                assert (b - _table_root(D, p)) % (2 * p) == 0, (d, p, b, c)
-                if d > 0 and 2 * p <= sq:
-                    assert _is_reduced_indefinite((p, b, c), D), (d, p, b, c)
+                assert b == _table_root(D, p), (d, p, b, c)
 
 
 def test_square_root_tables_against_euler_criterion():
@@ -169,3 +164,25 @@ def test_square_root_tables_against_euler_criterion():
                 assert r is not None and r * r % p == n, (n, p)
             else:
                 assert r is None, (n, p)
+
+
+def _oracle_two_rank_count(D):
+    """The classes of order <= 2, each equal to its inverse: for D < 0 the
+    reduced forms that (a, -b, c) would not replace, b = 0, b = a or a = c;
+    for D > 0 the cycles equal to their mirror, the inverse class's cycle
+    of the forms (c, b, a)."""
+    if D < 0:
+        return sum(1 for a, b, c in oracle_forms_negative(D) if b == 0 or b == a or a == c)
+    return sum(1 for cycle in oracle_cycles(D)
+               if set(cycle) == {(c, b, a) for a, b, c in cycle})
+
+
+def test_two_rank_matches_the_oracles_order_two_classes_up_to_3000():
+    # |Cl[2]| = 2^r (narrow for d > 0) where r counts the even invariant
+    # factors: genus theory read off the record, against the oracle's
+    # forms and cycles
+    for d in _fields(range(1, 3001)):
+        data = _class_data(d)
+        invariants = data.invariants if d < 0 else data.narrow_invariants
+        r = sum(1 for n in invariants if n % 2 == 0)
+        assert _oracle_two_rank_count(quadratic_field(d).discriminant) == 2 ** r, f"d = {d}"
